@@ -9,12 +9,9 @@ it is always expanded into generator words, so a canonical form is unique
 for a fixed det power.
 """
 
-import sys
 from itertools import permutations
 
 from .scalars import QRational, ZERO, ONE, qq
-
-sys.setrecursionlimit(100000)
 
 # same-row / same-column switch: descending pair picks up q^{-1}
 _QINV = qq(-1)
@@ -31,6 +28,12 @@ def inversions(perm):
     """Inversion count of a permutation given as a tuple of values."""
     return sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
                if perm[a] > perm[b])
+
+
+def _neg_q_power(e):
+    """(-q)^e for any integer e."""
+    s = -ONE if e % 2 else ONE
+    return s * qq(e)
 
 
 # ---------------------------------------------------------------------
@@ -262,25 +265,6 @@ class TensorElement:
     def __iter__(self):
         return iter(self.terms.items())
 
-    def apply(self, left_fn, right_fn):
-        """Sum of left_fn(left leg) * right_fn(right leg) over all terms;
-        the fns map AlgebraElement to anything QRational-linear."""
-        out = None
-        for (wl, wr), c in self.terms.items():
-            piece = left_fn(AlgebraElement(self.n, {wl: c}, canonical=True)) \
-                * right_fn(AlgebraElement(self.n, {wr: ONE}, canonical=True))
-            out = piece if out is None else out + piece
-        return out
-
-
-def multiply(x, y):
-    return x * y
-
-
-def normal_order(x):
-    """Re-canonicalize (a no-op on elements built through the constructors)."""
-    return AlgebraElement(x.n, dict(x.terms))
-
 
 def comultiply(x):
     """Coproduct into a TensorElement, both legs normal-ordered."""
@@ -323,8 +307,7 @@ def quantum_minor(n, I, J):
     terms = {}
     for tau in permutations(range(len(J))):
         word = tuple((I[s], J[tau[s]]) for s in range(len(I)))
-        sign = -ONE if inversions(tau) % 2 else ONE
-        terms[(word, 0)] = sign * qq(inversions(tau))
+        terms[(word, 0)] = _neg_q_power(inversions(tau))
     return AlgebraElement(n, terms)
 
 
@@ -351,12 +334,6 @@ def _complement(n, S):
     return tuple(sorted(set(range(1, n + 1)) - set(S)))
 
 
-def _neg_q_power(e):
-    """(-q)^e for any integer e."""
-    s = -ONE if e % 2 else ONE
-    return s * qq(e)
-
-
 def antipode_gen(n, i, j):
     """S(x_{i,j}) = (-q)^{i-j} * minor(rows = complement j, cols = complement i)
     * det_q^{-1}."""
@@ -364,15 +341,21 @@ def antipode_gen(n, i, j):
     return (minor * AlgebraElement.det_inv(n)).scale(_neg_q_power(i - j))
 
 
-def antipode(x):
+def _anti_extend(x, gen_image):
+    """The anti-multiplicative extension of x_{i,j} -> gen_image(n, i, j)
+    and det_q^{-1} -> D_q, linear over scalars."""
     n = x.n
     out = AlgebraElement.zero(n)
     for (factors, det), coeff in x.terms.items():
         piece = quantum_determinant_power(n, det)
         for (i, j) in reversed(factors):
-            piece = piece * antipode_gen(n, i, j)
+            piece = piece * gen_image(n, i, j)
         out = out + piece.scale(coeff)
     return out
+
+
+def antipode(x):
+    return _anti_extend(x, antipode_gen)
 
 
 def star_gen(n, i, j):
@@ -385,14 +368,7 @@ def star_gen(n, i, j):
 def star(x):
     """The star structure of the compact real form; anti-multiplicative and
     involutive, the identity on scalars (q is real)."""
-    n = x.n
-    out = AlgebraElement.zero(n)
-    for (factors, det), coeff in x.terms.items():
-        piece = quantum_determinant_power(n, det)
-        for (i, j) in reversed(factors):
-            piece = piece * star_gen(n, i, j)
-        out = out + piece.scale(coeff)
-    return out
+    return _anti_extend(x, star_gen)
 
 
 def _lseq(I, J):

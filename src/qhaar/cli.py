@@ -21,11 +21,11 @@ from fractions import Fraction
 
 from .algebra import (LETTER_TO_GEN, AlgebraElement, quantum_determinant,
                       star)
-from .corep import (contents, gram_entry_direct, gram_matrix, gram_schmidt,
-                    quantum_dimension, weight_space)
+from .corep import (_SIZE_CAP, EmptyWeightSpaceError, gram_matrix,
+                    gram_schmidt, quantum_dimension)
 from .haar import haar_state
-from .linsys import build_system, enumerate_Bnm, solve_system, \
-    source_matrix_solve
+from .linsys import (FeasibilityError, build_system, enumerate_Bnm,
+                     solve_system, source_matrix_solve)
 from .scalars import evaluate_numeric, qq
 from .verify import check_S_sum, check_paper_computations, check_prop_5_3
 
@@ -264,11 +264,6 @@ def _check_gen(n, i, j):
 # output helpers
 
 
-def _value_json(x):
-    return {"num": sorted(x.num.terms.items()),
-            "den": sorted(x.den.terms.items())}
-
-
 def _render_value(x, fmt, at_q):
     if at_q is not None:
         v = evaluate_numeric(x, at_q)
@@ -276,7 +271,7 @@ def _render_value(x, fmt, at_q):
             return json.dumps({"value": [v.numerator, v.denominator]})
         return str(v)
     if fmt == "json":
-        return json.dumps({"value": _value_json(x)})
+        return json.dumps({"value": x.to_pairs()})
     if fmt == "latex":
         return "\\frac{%s}{%s}" % (x.num, x.den)
     return str(x)
@@ -311,8 +306,10 @@ def _scalar_cell(x, at_q):
 
 
 def _cmd_eval(args):
-    tree = parse(args.expression)
-    x = ast_to_element(tree, args.n)
+    try:
+        x = ast_to_element(parse(args.expression), args.n)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0)
     return _render_value(haar_state(x), args.format, args.at_q)
 
 
@@ -345,14 +342,32 @@ def _parse_triple(text, what):
     return parts
 
 
+def _parse_lambda(text):
+    lam = _parse_triple(text, "lambda")
+    if not lam[0] >= lam[1] >= lam[2]:
+        raise ParseError("lambda must be weakly decreasing", 0)
+    return lam
+
+
+def _parse_at_q(text):
+    try:
+        q0 = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("--at-q takes an exact rational", 0)
+    if q0 <= 0:
+        raise ParseError("--at-q must be positive", 0)
+    return q0
+
+
 def _gram_payload(args):
-    lam = _parse_triple(args.lam, "lambda")
+    lam = _parse_lambda(args.lam)
     mu = _parse_triple(args.mu, "mu")
     side = ("right_comodule" if args.side == "R" else "left_comodule")
     form = args.form
     g = gram_matrix(lam, mu, form, side, method="closed")
     agree = None
-    if all(v.d1 + v.d2 + v.d3 + v.c1 + v.c2 + v.c3 <= 6 for v in g.vectors):
+    if all(v.d1 + v.d2 + v.d3 + v.c1 + v.c2 + v.c3 <= _SIZE_CAP
+           for v in g.vectors):
         direct = gram_matrix(lam, mu, form, side, method="direct")
         agree = direct.entries == g.entries
     return g, agree
@@ -384,9 +399,9 @@ def _cmd_ortho(args):
     if args.format == "json":
         return json.dumps({
             "lambda": list(g.lam), "mu": list(g.mu),
-            "transform": [[_value_json(c) for c in row]
+            "transform": [[c.to_pairs() for c in row]
                           for row in transform],
-            "norms_sq": [_value_json(s) for s in norms],
+            "norms_sq": [s.to_pairs() for s in norms],
         })
     rows = [tuple(_scalar_cell(c, args.at_q) for c in row)
             + (_scalar_cell(s, args.at_q),)
@@ -398,7 +413,7 @@ def _cmd_ortho(args):
 
 
 def _cmd_dim(args):
-    lam = _parse_triple(args.lam, "lambda")
+    lam = _parse_lambda(args.lam)
     return _render_value(quantum_dimension(lam), args.format, args.at_q)
 
 
@@ -440,39 +455,37 @@ def _build_argparser():
     top = argparse.ArgumentParser(prog="qhaar")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=3)
+    def output(p):
         p.add_argument("--format", default="text",
                        choices=["json", "csv", "latex", "text"])
         p.add_argument("--at-q", dest="at_q", default=None)
-        p.add_argument("--override-feasibility", action="store_true",
-                       dest="override_feasibility")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("eval")
     p.add_argument("expression")
-    common(p)
-    p = sub.add_parser("table")
-    p.add_argument("--m", type=int, required=True)
-    common(p)
+    p.add_argument("--n", type=int, default=3)
+    output(p)
+    for name in ("table", "solve", "source"):
+        p = sub.add_parser(name)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, default=3)
+        p.add_argument("--override-feasibility", action="store_true",
+                       dest="override_feasibility")
+        output(p)
     for name in ("gram", "ortho"):
         p = sub.add_parser(name)
         p.add_argument("--lambda", dest="lam", required=True)
         p.add_argument("--mu", required=True)
         p.add_argument("--side", default="R", choices=["L", "R"])
         p.add_argument("--form", default="L", choices=["L", "R"])
-        common(p)
+        output(p)
     p = sub.add_parser("dim")
     p.add_argument("--lambda", dest="lam", required=True)
-    common(p)
-    for name in ("solve", "source"):
-        p = sub.add_parser(name)
-        p.add_argument("--m", type=int, required=True)
-        common(p)
+    output(p)
     p = sub.add_parser("verify")
     p.add_argument("--suite", required=True)
     p.add_argument("--bound", type=int, default=6)
-    common(p)
+    p.add_argument("--out", default=None)
     return top
 
 
@@ -485,11 +498,8 @@ def run_command(argv, stdout=None):
         return EXIT_PARSE if e.code else EXIT_OK
     failed = False
     try:
-        if args.at_q is not None:
-            try:
-                args.at_q = Fraction(args.at_q)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError("--at-q takes an exact rational", 0)
+        if getattr(args, "at_q", None) is not None:
+            args.at_q = _parse_at_q(args.at_q)
         out = _COMMANDS[args.command](args)
         if isinstance(out, tuple):
             out, failed = out
@@ -497,11 +507,10 @@ def run_command(argv, stdout=None):
         print("parse error: %s" % e, file=sys.stderr)
         return EXIT_PARSE
     except ValueError as e:
-        message = str(e)
-        print("error: %s" % message, file=sys.stderr)
-        if "feasibility" in message:
+        print("error: %s" % e, file=sys.stderr)
+        if isinstance(e, FeasibilityError):
             return EXIT_FEASIBILITY
-        if "empty weight space" in message or "weight" in message:
+        if isinstance(e, EmptyWeightSpaceError):
             return EXIT_EMPTY_WEIGHT
         return EXIT_RESIDUAL
     if args.out:

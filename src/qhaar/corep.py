@@ -14,14 +14,16 @@ gram_entry_direct recomputes them through the rewriter and the Haar state
 as an independent check.
 """
 
-from fractions import Fraction
-
 from .algebra import (AlgebraElement, apply_morphism, quantum_minor, star)
 from .haar import haar_state
-from .scalars import ONE, QRational, ZERO, poch, q_binomial, qq
+from .scalars import ONE, ZERO, poch, q_binomial, qq
 
 _Q2 = ONE - qq(2)
 _Q4 = ONE - qq(4)
+
+
+class EmptyWeightSpaceError(ValueError):
+    """The content does not occur in the weight."""
 
 
 def normalize_weight(lam):
@@ -192,7 +194,7 @@ def weight_space(lam, mu):
     (v_0 carries the most single-2 boxes)."""
     (l1, l2, _), _shift = normalize_weight(lam)
     if sum(mu) != l1 + l2:
-        raise ValueError("content does not match the weight")
+        raise EmptyWeightSpaceError("content does not match the weight")
     vs = [tableau_to_vector(t) for t in enumerate_ssyt((l1, l2, 0))
           if t.content() == tuple(mu)]
     vs.sort(key=lambda v: v.d1)
@@ -229,12 +231,7 @@ def _chain_offset(vi, vj):
     return vj.d1 - vi.d1
 
 
-def _closed_pair_A(v, k):
-    d1, d2, c1, c2, c3 = v.d1, v.d2, v.c1, v.c2, v.c3
-    pre = qq(2 * d1 * d2 + 4 * d1 + 4 * d2 + 2 * c1 * c2 + 2 * c1 * c3
-             + 2 * c2 * c3 + 4 * c1 + 4 * c2 + 4 * c3 + k * (d2 + c2 - k))
-    base = (pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2)
-            / (poch(1, d1 + d2 + 1) * poch(1, c1 + c2 + c3 + 1)))
+def _family_a_double_sum(d1, d2, c1, c2, c3, k):
     total = ZERO
     for j in range(c3 + 1):
         outer = (qq(j * j - j) * q_binomial(d1, j) * q_binomial(c3, j)
@@ -248,15 +245,10 @@ def _closed_pair_A(v, k):
                              * poch(1, d1 + c2 + c3 - j - i)
                              * q_binomial(c2 - k, i))
         total = total + outer * inner
-    return base * total
+    return total
 
 
-def _closed_pair_B(v, k):
-    d1, d2, d3, c2, c3 = v.d1, v.d2, v.d3, v.c2, v.c3
-    pre = qq(2 * d2 * d3 + 2 * d1 * d2 + 2 * d1 * d3 + 4 * d3 + 4 * d1
-             + 4 * d2 + 2 * c2 * c3 + 4 * c2 + 4 * c3 + k * (d2 + c2 - k))
-    base = (pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2)
-            / (poch(1, c2 + c3 + 1) * poch(1, d1 + d2 + d3 + 1)))
+def _family_b_double_sum(d1, d2, d3, c2, c3, k):
     total = ZERO
     for j in range(d1 + 1):
         outer = (qq(j * j - j) * q_binomial(d1, j) * q_binomial(c3, j)
@@ -270,7 +262,25 @@ def _closed_pair_B(v, k):
                              * poch(1, d3 + i)
                              * q_binomial(d2 - k, i))
         total = total + outer * inner
-    return base * total
+    return total
+
+
+def _closed_pair_A(v, k):
+    d1, d2, c1, c2, c3 = v.d1, v.d2, v.c1, v.c2, v.c3
+    pre = qq(2 * d1 * d2 + 4 * d1 + 4 * d2 + 2 * c1 * c2 + 2 * c1 * c3
+             + 2 * c2 * c3 + 4 * c1 + 4 * c2 + 4 * c3 + k * (d2 + c2 - k))
+    base = (pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2)
+            / (poch(1, d1 + d2 + 1) * poch(1, c1 + c2 + c3 + 1)))
+    return base * _family_a_double_sum(d1, d2, c1, c2, c3, k)
+
+
+def _closed_pair_B(v, k):
+    d1, d2, d3, c2, c3 = v.d1, v.d2, v.d3, v.c2, v.c3
+    pre = qq(2 * d2 * d3 + 2 * d1 * d2 + 2 * d1 * d3 + 4 * d3 + 4 * d1
+             + 4 * d2 + 2 * c2 * c3 + 4 * c2 + 4 * c3 + k * (d2 + c2 - k))
+    base = (pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2)
+            / (poch(1, c2 + c3 + 1) * poch(1, d1 + d2 + d3 + 1)))
+    return base * _family_b_double_sum(d1, d2, d3, c2, c3, k)
 
 
 def gram_entry_closed(vi, vj, form="L", side="right_comodule"):
@@ -340,7 +350,7 @@ class GramMatrix:
             "side": self.side,
             "vectors": [[v.d1, v.d2, v.d3, v.c1, v.c2, v.c3]
                         for v in self.vectors],
-            "entries": [[_scalar_json(e) for e in row]
+            "entries": [[e.to_pairs() for e in row]
                         for row in self.entries],
         }
 
@@ -350,15 +360,10 @@ class GramMatrix:
                 % ("c" * self.dim(), " \\\\\n".join(rows)))
 
 
-def _scalar_json(x):
-    return {"num": sorted(x.num.terms.items()),
-            "den": sorted(x.den.terms.items())}
-
-
 def gram_matrix(lam, mu, form="L", side="right_comodule", method="closed"):
     vs = weight_space(lam, mu)
     if not vs:
-        raise ValueError("empty weight space")
+        raise EmptyWeightSpaceError("empty weight space")
     entry = gram_entry_closed if method == "closed" else gram_entry_direct
     n = len(vs)
     rows = [[None] * n for _ in range(n)]

@@ -9,8 +9,8 @@ system module are picked up from a registry.
 
 from .scalars import QRational, ZERO, ONE, qq, q_binomial, q_multinomial, \
     q_factorial
-from .algebra import AlgebraElement, counting_matrix, stochastic_order, \
-    inversions
+from .algebra import counting_matrix, stochastic_order, inversions, \
+    _neg_q_power
 
 _NEG_ONE = QRational.from_int(-1)
 
@@ -21,8 +21,7 @@ def haar_ref(m):
         raise ValueError("order must be >= 0")
     if m == 0:
         return ONE
-    num = (-ONE if m % 2 else ONE) * qq(3 * m) * (qq(2) - ONE) ** 2 * \
-        (qq(4) - ONE)
+    num = _neg_q_power(3 * m) * (qq(2) - ONE) ** 2 * (qq(4) - ONE)
     den = (qq(2 * m + 2) - ONE) ** 2 * (qq(2 * m + 4) - ONE)
     return num / den
 
@@ -77,9 +76,7 @@ def haar_order1(sigma, n):
     """h(x_sigma det^-1) = (-q)^{l(sigma)} / [n]_{q^2}! for any rank."""
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError("not a permutation of 1..%d" % n)
-    inv = inversions(tuple(sigma))
-    sign = -ONE if inv % 2 else ONE
-    return sign * qq(inv) / q_factorial(n)
+    return _neg_q_power(inversions(tuple(sigma))) / q_factorial(n)
 
 
 def _pseudo_index_from_theta(theta):

@@ -9,24 +9,26 @@ without touching the full system.
 
 from itertools import permutations
 
-from .scalars import QRational, ZERO, ONE, qq
-from .algebra import (AlgebraElement, counting_matrix, stochastic_order,
-                      pseudo_word, quantum_determinant_power, inversions,
-                      _expand)
+from .scalars import ZERO, ONE, qq
+from .algebra import (counting_matrix, stochastic_order, pseudo_word,
+                      quantum_determinant_power, inversions, _expand,
+                      _neg_q_power)
 from . import haar
-
-_NEG_ONE = QRational.from_int(-1)
 
 # conservative solvability bounds for the full system and the Source matrix
 _SYSTEM_BOUNDS = {2: 6, 3: 3, 4: 2}
 _SOURCE_BOUNDS = {2: 6, 3: 4, 4: 3}
 
 
+class FeasibilityError(ValueError):
+    """The rank and order exceed the solvability guard."""
+
+
 def _check_feasible(n, m, bounds, override=False):
     if override:
         return
     if n not in bounds or m > bounds[n]:
-        raise ValueError(
+        raise FeasibilityError(
             "rank %d order %d exceeds the feasibility guard; pass "
             "override_feasibility to force" % (n, m))
 
@@ -160,12 +162,12 @@ def build_system(n, m, override_feasibility=False):
     return HaarLinearSystem(n, m, B, rows)
 
 
-def solve_system(sys):
-    """Exact sparse elimination, always pivoting on the shortest remaining
-    row; verifies that every emitted row has zero residual, then registers
-    the values for haar_state."""
-    pending = [(dict(row), rhs) for row, rhs, _tag in sys.rows]
-    solved = {}
+def _eliminate(rows, unknowns):
+    """The values of the unknowns from (coefficient dict, rhs, tag) rows by
+    exact sparse elimination, always pivoting on the shortest remaining row;
+    verifies that every row has zero residual."""
+    pending = [(dict(row), rhs) for row, rhs, _tag in rows]
+    pivots = []
     while pending:
         pending.sort(key=lambda rv: len(rv[0]), reverse=True)
         row, rhs = pending.pop()
@@ -175,46 +177,48 @@ def solve_system(sys):
             continue
         u = min(row)
         inv = ONE / row[u]
-        expr = ({t: -c * inv for t, c in row.items() if t != u}, rhs * inv)
-        solved[u] = expr
+        prow = {t: -c * inv for t, c in row.items() if t != u}
+        prhs = rhs * inv
+        pivots.append((u, prow, prhs))
         nxt = []
         for orow, orhs in pending:
             f = orow.pop(u, None)
             if f is not None:
-                for t, c in expr[0].items():
+                for t, c in prow.items():
                     s = orow.get(t, ZERO) + f * c
                     if s.is_zero():
                         orow.pop(t, None)
                     else:
                         orow[t] = s
-                orhs = orhs - f * expr[1]
+                orhs = orhs - f * prhs
             if orow or not orhs.is_zero():
                 nxt.append((orow, orhs))
         pending = nxt
-    if set(solved) != set(sys.unknowns):
+    if {p[0] for p in pivots} != set(unknowns):
         raise ValueError(
             "rank deficient system: %d unknowns undetermined"
-            % (len(sys.unknowns) - len(solved)))
-    # back-substitute in dependency order
+            % (len(unknowns) - len(pivots)))
+    # a pivot's row holds only unknowns pivoted after it
     solution = {}
-    def value(u):
-        if u not in solution:
-            row, rhs = solved[u]
-            acc = rhs
-            for t, c in row.items():
-                acc = acc + c * value(t)
-            solution[u] = acc
-        return solution[u]
-    for u in sys.unknowns:
-        value(u)
-    for row, rhs, tag in sys.rows:
+    for u, row, acc in reversed(pivots):
+        for t, c in row.items():
+            acc = acc + c * solution[t]
+        solution[u] = acc
+    for row, rhs, tag in rows:
         acc = ZERO
         for u, c in row.items():
             acc = acc + c * solution[u]
         if acc != rhs:
             raise ValueError("nonzero residual on row %r" % (tag,))
+    return solution
+
+
+def solve_system(system):
+    """Solves the invariance system exactly, then registers the values for
+    haar_state."""
+    solution = _eliminate(system.rows, system.unknowns)
     for u, v in solution.items():
-        haar.register_value(sys.n, u, v)
+        haar.register_value(system.n, u, v)
     return solution
 
 
@@ -297,7 +301,6 @@ def source_matrix_solve(n, m, override_feasibility=False):
     _check_feasible(n, m, _SOURCE_BOUNDS, override_feasibility)
     sigma0 = tuple(range(n, 0, -1))
     perms = list(permutations(range(1, n + 1)))
-    prev = ONE
     value = ONE
     for mu in range(1, m + 1):
         b = {}
@@ -335,56 +338,12 @@ def source_matrix_solve(n, m, override_feasibility=False):
                     coeffs[tau] = coeffs.get(tau, ZERO) + lam * c
             bL = b.get(theta, ZERO)
             coeffs[sigma0] = coeffs.get(sigma0, ZERO) - bL
-            rows.append({k: v for k, v in coeffs.items()
-                         if not v.is_zero()})
-        # elimination over the n! unknowns plus the nonzero-rhs relation
-        unknowns = perms
-        mat = [[row.get(u, ZERO) for u in unknowns] for row in rows]
-        rhs = [ZERO] * len(rows)
-        norm = [ (_NEG_ONE ** inversions(u)) * qq(inversions(u))
-                 for u in unknowns]
-        mat.append(norm)
-        rhs.append(prev)
-        sol = _gauss(mat, rhs, len(unknowns))
-        value = sol[unknowns.index(sigma0)]
+            rows.append(({k: v for k, v in coeffs.items() if not v.is_zero()},
+                         ZERO, ("source", mu, sigma)))
+        rows.append(({u: _neg_q_power(inversions(u)) for u in perms}, value,
+                     ("normalization", mu)))
+        value = _eliminate(rows, perms)[sigma0]
         theta0 = tuple(tuple(mu * (j == n + 1 - i) for j in range(1, n + 1))
                        for i in range(1, n + 1))
         haar.register_value(n, theta0, value)
-        prev = value
     return value
-
-
-def _gauss(mat, rhs, k):
-    rows = [ (list(r), v) for r, v in zip(mat, rhs) ]
-    values = [None] * k
-    selected = []
-    for col in range(k):
-        pivot = next((i for i, (r, _v) in enumerate(rows)
-                      if not r[col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("rank deficient Source matrix at column %d" % col)
-        vec, v = rows.pop(pivot)
-        inv = ONE / vec[col]
-        vec = [c * inv for c in vec]
-        v = v * inv
-        for svec, sv in selected:
-            fct = svec[col]
-            if not fct.is_zero():
-                for t in range(k):
-                    svec[t] = svec[t] - fct * vec[t]
-                sv[0] = sv[0] - fct * v
-        nxt = []
-        for ovec, ov in rows:
-            fct = ovec[col]
-            if not fct.is_zero():
-                ovec = [ovec[t] - fct * vec[t] for t in range(k)]
-                ov = ov - fct * v
-            if any(not c.is_zero() for c in ovec) or not ov.is_zero():
-                nxt.append((ovec, ov))
-        rows = nxt
-        selected.append((vec, [v]))
-    if rows:
-        raise ValueError("inconsistent Source matrix")
-    for col, (vec, v) in enumerate(selected):
-        values[col] = v[0]
-    return values

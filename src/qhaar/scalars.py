@@ -404,32 +404,14 @@ def qq(a):
 # -- q-combinatorics ---------------------------------------------------
 
 
-class QPochhammer:
-    """(q^{2a}; q^2)_n symbolically: base exponent a (of q^{2a}) and length n."""
-
-    __slots__ = ("base_exponent", "length")
-
-    def __init__(self, base_exponent, length):
-        if length < 0:
-            raise ValueError("Pochhammer length must be >= 0")
-        object.__setattr__(self, "base_exponent", base_exponent)
-        object.__setattr__(self, "length", length)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QPochhammer is immutable")
-
-
-def pochhammer_expand(p):
-    """Expand (q^{2a}; q^2)_n = prod_{i=0}^{n-1} (1 - q^{2a+2i})."""
-    r = ONE
-    for i in range(p.length):
-        r = r * (ONE - qq(2 * (p.base_exponent + i)))
-    return r
-
-
 def poch(a, n):
-    """(q^{2a}; q^2)_n as a QRational."""
-    return pochhammer_expand(QPochhammer(a, n))
+    """(q^{2a}; q^2)_n = prod_{i=0}^{n-1} (1 - q^{2a+2i}) as a QRational."""
+    if n < 0:
+        raise ValueError("Pochhammer length must be >= 0")
+    r = ONE
+    for i in range(n):
+        r = r * (ONE - qq(2 * (a + i)))
+    return r
 
 
 def q_number(n, base=2):

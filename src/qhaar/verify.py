@@ -12,14 +12,13 @@ import json
 import time
 
 from .algebra import LETTER_TO_GEN, AlgebraElement, star
+from .corep import _Q2, _Q4, _family_a_double_sum, _family_b_double_sum
 from .haar import haar_ref, haar_state
 from .scalars import ONE, ZERO, poch, q_binomial, qq
 
 _GEN = {ch: AlgebraElement.gen(3, *ij) for ch, ij in LETTER_TO_GEN.items()}
 _STAR = {ch: star(g) for ch, g in _GEN.items()}
 
-_Q2 = ONE - qq(2)
-_Q4 = ONE - qq(4)
 _M2 = qq(2) - ONE   # (q^2 - 1), kept separate to mirror the sources
 _M4 = qq(4) - ONE
 
@@ -223,22 +222,6 @@ def _disp_chain_c(d1, d2, c1, c2, k):
     return got == want
 
 
-def _family_a_double_sum(d1, d2, c1, c2, c3, k):
-    total = ZERO
-    for j in range(c3 + 1):
-        outer = (_sign(j) * qq(j * j - j) * q_binomial(d1, j)
-                 * q_binomial(c3, j) * poch(1, j)
-                 / poch(d1 + d2 + c1 + c3 - j + 2, c2 + 1))
-        inner = ZERO
-        for i in range(c2 - k + 1):
-            inner = inner + (qq((2 * d1 + 2 * d2 + 2 * c3 - 2 * j + 2) * i)
-                             * poch(1, c1 + i)
-                             * poch(1, d1 + c2 + c3 - j - i)
-                             * q_binomial(c2 - k, i))
-        total = total + outer * inner
-    return total
-
-
 def _disp_family_a_full(d1, d2, c1, c2, c3, k):
     got = _h([("k", d1 + k, 1), ("h", d2 - k, 1), ("a", c1, 0),
               ("b", c2 - k, 0), ("c", c3 + k, 0), ("c", c3, 1),
@@ -335,21 +318,6 @@ def _disp_chain_k_start(d2, d3, c2, c3, k):
                * poch(d3 + c2 + c3 + 2, d2 + 1))
             * _single_sum_b(d2, d3, c2, c3, k, 2))
     return got == want
-
-
-def _family_b_double_sum(d1, d2, d3, c2, c3, k):
-    total = ZERO
-    for j in range(d1 + 1):
-        outer = (_sign(j) * qq(j * j - j) * q_binomial(d1, j)
-                 * q_binomial(c3, j) * poch(1, j)
-                 / poch(d3 + c2 + c3 + d1 - j + 2, d2 + 1))
-        inner = ZERO
-        for i in range(d2 - k + 1):
-            inner = inner + (qq((2 * c2 + 2 * c3 + 2 * d1 - 2 * j + 2) * i)
-                             * poch(1, c3 + d2 + d1 - j - i)
-                             * poch(1, d3 + i) * q_binomial(d2 - k, i))
-        total = total + outer * inner
-    return total
 
 
 def _disp_family_b_full(d1, d2, d3, c2, c3, k):

@@ -4,7 +4,7 @@ import pytest
 
 from qhaar.scalars import QRational, ZERO, ONE, qq, q_binomial, poch
 from qhaar.algebra import (
-    AlgebraElement, TensorElement, multiply, normal_order, comultiply, counit,
+    AlgebraElement, TensorElement, comultiply, counit,
     quantum_minor, quantum_determinant, quantum_determinant_power, antipode,
     star, minor_star, apply_morphism, counting_matrix, stochastic_order,
     is_order_m, pseudo_word, lift_det, equal_mod_det, inversions,

@@ -133,6 +133,20 @@ def test_exit_codes():
     assert run(["solve", "--n", "3", "--m", "9"])[0] == 3
     assert run(["gram", "--lambda", "2,1,0", "--mu", "3,0,0"])[0] == 4
     assert run(["nonsense"])[0] == 2
+    assert run(["eval", "a", "--at-q", "0"])[0] == 2
+    assert run(["gram", "--lambda", "1,2,0", "--mu", "1,1,1"])[0] == 2
+    # gram reads no rank: rank 3 is fixed, so --n is not an option
+    assert run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1", "--n", "4"])[0] \
+        == 2
+
+
+def test_deep_nesting():
+    def nested(depth):
+        return "(" * depth + "a a^*" + ")" * depth
+
+    code, out = run(["eval", nested(100)])
+    assert code == 0 and out == run(["eval", "a a^*"])[1]
+    assert run(["eval", nested(400)])[0] == 2
 
 
 def test_override_feasibility_rank2():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from qhaar.scalars import QRational, ZERO, ONE, qq
@@ -5,7 +7,8 @@ from qhaar.algebra import (AlgebraElement, pseudo_word, counting_matrix,
                            stochastic_order, quantum_determinant, inversions)
 from qhaar.haar import haar_ref, haar_order1, haar_pseudo, haar_state
 from qhaar.linsys import (enumerate_Bnm, detq_power_expand, build_system,
-                          solve_system, source_matrix_solve)
+                          solve_system, source_matrix_solve, _eliminate)
+from qhaar import linsys
 
 E = AlgebraElement
 NEG_ONE = QRational.from_int(-1)
@@ -133,3 +136,39 @@ def test_feasibility_guard():
     assert len(sol) == 8
     assert source_matrix_solve(2, 7, override_feasibility=True) == \
         sol[((0, 7), (7, 0))]
+
+
+def test_eliminate_rank_deficient():
+    rows = [({"x": ONE, "y": ONE}, ONE, "sum"),
+            ({"x": qq(1), "y": qq(1)}, qq(1), "scaled sum")]
+    with pytest.raises(ValueError, match="rank deficient"):
+        _eliminate(rows, ["x", "y"])
+
+
+def test_eliminate_inconsistent():
+    rows = [({"x": ONE}, ONE, "x = 1"), ({"x": qq(1)}, ONE, "q x = 1")]
+    with pytest.raises(ValueError, match="inconsistent"):
+        _eliminate(rows, ["x"])
+
+
+def test_eliminate_residual_gate(monkeypatch):
+    # a faulty pivot normalization yields x = 2; the residual check on the
+    # original rows must reject it
+    monkeypatch.setattr(linsys, "ONE", QRational.from_int(2))
+    with pytest.raises(ValueError, match="nonzero residual on row 'x = 1'"):
+        _eliminate([({"x": ONE}, ONE, "x = 1")], ["x"])
+
+
+def test_eliminate_long_dependency_chain():
+    # x_i = x_{i+1} for every i, listed with i descending, and sum x_i = 1:
+    # each pivot depends on the next, 1,500 deep
+    k = 1500
+    rows = [({i: ONE, i + 1: NEG_ONE}, ZERO, i) for i in range(k - 2, -1, -1)]
+    rows.append(({i: ONE for i in range(k)}, ONE, "sum"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        sol = _eliminate(rows, list(range(k)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert set(sol.values()) == {ONE / QRational.from_int(k)}
