@@ -11,7 +11,7 @@ from .algebra import (AlgebraElement, TensorElement, LETTERS, comultiply,
                       inversions)
 from .actions import act, minor_action
 from .haar import (haar_ref, haar_ref_recursive, haar_pseudo, haar_order1,
-                   haar_state, haar_ratio_general_n, register_value)
+                   haar_state, haar_ratio_general_n)
 from .linsys import (enumerate_Bnm, detq_power_expand, build_system,
                      solve_system, source_matrix_solve, HaarLinearSystem,
                      FeasibilityError)
@@ -34,7 +34,7 @@ __all__ = [
     "equal_mod_det", "inversions",
     "act", "minor_action",
     "haar_ref", "haar_ref_recursive", "haar_pseudo", "haar_order1",
-    "haar_state", "haar_ratio_general_n", "register_value",
+    "haar_state", "haar_ratio_general_n",
     "enumerate_Bnm", "detq_power_expand", "build_system", "solve_system",
     "source_matrix_solve", "HaarLinearSystem", "FeasibilityError",
     "Tableau", "BasisVector", "GramMatrix", "EmptyWeightSpaceError",

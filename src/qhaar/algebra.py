@@ -9,6 +9,7 @@ it is always expanded into generator words, so a canonical form is unique
 for a fixed det power.
 """
 
+from functools import cache
 from itertools import permutations
 
 from .scalars import QRational, ZERO, ONE, qq
@@ -40,9 +41,6 @@ def _neg_q_power(e):
 # the rewriting engine
 
 
-_NO_CACHE = {}
-
-
 def _bubble(w, coeff, extras):
     """Sort the generator list w in place by adjacent switches, collecting the
     extra words spawned by the two-sided switching rule into extras."""
@@ -66,11 +64,10 @@ def _bubble(w, coeff, extras):
     return tuple(w), coeff
 
 
+@cache
 def _expand(word):
-    """Canonical expansion of a generator tuple: dict canonical word -> scalar."""
-    hit = _NO_CACHE.get(word)
-    if hit is not None:
-        return hit
+    """Canonical expansion of a generator tuple: dict canonical word -> scalar.
+    The result is shared between callers and must not be mutated."""
     extras = []
     canon, coeff = _bubble(list(word), ONE, extras)
     out = {canon: coeff}
@@ -81,7 +78,6 @@ def _expand(word):
                 out.pop(cw, None)
             else:
                 out[cw] = s
-    _NO_CACHE[word] = out
     return out
 
 
@@ -315,19 +311,12 @@ def quantum_determinant(n):
     return quantum_minor(n, range(1, n + 1), range(1, n + 1))
 
 
-_DQ_POW = {}
-
-
+@cache
 def quantum_determinant_power(n, m):
     """D_q^m, expanded and cached."""
-    key = (n, m)
-    if key not in _DQ_POW:
-        if m == 0:
-            _DQ_POW[key] = AlgebraElement.unit(n)
-        else:
-            _DQ_POW[key] = quantum_determinant_power(n, m - 1) * \
-                quantum_determinant(n)
-    return _DQ_POW[key]
+    if m == 0:
+        return AlgebraElement.unit(n)
+    return quantum_determinant_power(n, m - 1) * quantum_determinant(n)
 
 
 def _complement(n, S):

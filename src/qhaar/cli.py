@@ -19,14 +19,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import (LETTER_TO_GEN, AlgebraElement, quantum_determinant,
-                      star)
+from .algebra import (GEN_TO_LETTER, LETTER_TO_GEN, AlgebraElement,
+                      pseudo_word, quantum_determinant, star)
 from .corep import (_SIZE_CAP, EmptyWeightSpaceError, gram_matrix,
                     gram_schmidt, quantum_dimension)
-from .haar import haar_state
+from .haar import _pseudo_index_from_theta, haar_pseudo, haar_state
 from .linsys import (FeasibilityError, build_system, enumerate_Bnm,
                      solve_system, source_matrix_solve)
-from .scalars import evaluate_numeric, qq
+from .scalars import QRational, evaluate_numeric, qq
 from .verify import check_S_sum, check_paper_computations, check_prop_5_3
 
 EXIT_OK = 0
@@ -171,9 +171,6 @@ def parse(text):
     return tree
 
 
-_GEN_LETTER = {ij: ch for ch, ij in LETTER_TO_GEN.items()}
-
-
 def ast_to_str(node):
     kind = node[0]
     if kind == "sum":
@@ -249,7 +246,6 @@ def ast_to_element(node, n):
 
 
 def _fraction_scalar(frac):
-    from .scalars import QRational
     return (QRational.from_int(frac.numerator)
             / QRational.from_int(frac.denominator))
 
@@ -322,8 +318,6 @@ def _cmd_table(args):
             rows.append((json.dumps(theta), _scalar_cell(sysm[theta],
                                                          args.at_q)))
     else:
-        from .algebra import GEN_TO_LETTER, pseudo_word
-        from .haar import haar_pseudo, _pseudo_index_from_theta
         for theta in enumerate_Bnm(3, args.m):
             m, s, r, l, t = _pseudo_index_from_theta(theta)
             word = "".join(GEN_TO_LETTER[g] for g in pseudo_word(theta))

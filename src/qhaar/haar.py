@@ -3,14 +3,18 @@
 Values of the Haar state on canonical monomials: the rank-3 closed form,
 the reference value on (ceg)^m det^-m with its recursion, the order-1
 formula for every rank, and linear evaluation of arbitrary elements.
-For ranks other than 3 and orders above 1, values solved by the linear
-system module are picked up from a registry.
+For ranks other than 3 and orders above 1, a value comes from the linear
+system oracles, solved once per rank and order under their feasibility
+guards.
 """
+
+from functools import cache
 
 from .scalars import QRational, ZERO, ONE, qq, q_binomial, q_multinomial, \
     q_factorial
 from .algebra import counting_matrix, stochastic_order, inversions, \
     _neg_q_power
+from .linsys import build_system, solve_system, source_matrix_solve
 
 _NEG_ONE = QRational.from_int(-1)
 
@@ -44,17 +48,11 @@ def check_pseudo_index(m, s, r, l, t):
                          % (m, s, r, l, t))
 
 
-_PSEUDO_CACHE = {}
-
-
+@cache
 def haar_pseudo(m, s, r, l, t):
     """h(a^s b^{m-s-r} c^r d^{m-s-l} e^n f^{m-r-t} g^l h^{m-l-t} k^t det^-m)
     with n = s+r+l+t-m, in closed form."""
     check_pseudo_index(m, s, r, l, t)
-    key = (m, s, r, l, t)
-    hit = _PSEUDO_CACHE.get(key)
-    if hit is not None:
-        return hit
     n = s + r + l + t - m
     total = ZERO
     for k in range(max(n - s, n - t, 0), min(r, l, n) + 1):
@@ -67,9 +65,7 @@ def haar_pseudo(m, s, r, l, t):
            - r * l + 4 * s * t - 3 * n * s - 3 * n * t) / \
         (q_multinomial(m, (n, m - l - s, m - r - t)) *
          q_multinomial(m, (n, m - r - s, m - l - t)))
-    val = total * pref * haar_ref(m)
-    _PSEUDO_CACHE[key] = val
-    return val
+    return total * pref * haar_ref(m)
 
 
 def haar_order1(sigma, n):
@@ -84,15 +80,14 @@ def _pseudo_index_from_theta(theta):
     return (m, theta[0][0], theta[0][2], theta[2][0], theta[2][2])
 
 
-# values registered by the linear-system solvers, keyed (n, theta)
-_REGISTRY = {}
+@cache
+def _source_value(n, m):
+    return source_matrix_solve(n, m)
 
 
-def register_value(n, theta, value):
-    old = _REGISTRY.get((n, theta))
-    if old is not None and old != value:
-        raise ValueError("conflicting Haar values registered for %r" % (theta,))
-    _REGISTRY[(n, theta)] = value
+@cache
+def _system_values(n, m):
+    return solve_system(build_system(n, m))
 
 
 def _haar_word(n, factors, det):
@@ -109,12 +104,11 @@ def _haar_word(n, factors, det):
         for (i, j) in factors:
             sigma[i - 1] = j
         return haar_order1(tuple(sigma), n)
-    hit = _REGISTRY.get((n, theta))
-    if hit is None:
-        raise ValueError(
-            "Haar value unavailable for rank %d order %d; solve the linear "
-            "system first" % (n, m))
-    return hit
+    if all(theta[i][j] == m * (i + j == n - 1)
+           for i in range(n) for j in range(n)):
+        # the Source scheme reaches m times the antidiagonal far more cheaply
+        return _source_value(n, m)
+    return _system_values(n, m)[theta]
 
 
 def haar_state(x):

@@ -13,7 +13,6 @@ from .scalars import ZERO, ONE, qq
 from .algebra import (counting_matrix, stochastic_order, pseudo_word,
                       quantum_determinant_power, inversions, _expand,
                       _neg_q_power)
-from . import haar
 
 # conservative solvability bounds for the full system and the Source matrix
 _SYSTEM_BOUNDS = {2: 6, 3: 3, 4: 2}
@@ -214,12 +213,8 @@ def _eliminate(rows, unknowns):
 
 
 def solve_system(system):
-    """Solves the invariance system exactly, then registers the values for
-    haar_state."""
-    solution = _eliminate(system.rows, system.unknowns)
-    for u, v in solution.items():
-        haar.register_value(system.n, u, v)
-    return solution
+    """Solves the invariance system exactly: dict unknown -> value."""
+    return _eliminate(system.rows, system.unknowns)
 
 
 # ---------------------------------------------------------------------
@@ -343,7 +338,4 @@ def source_matrix_solve(n, m, override_feasibility=False):
         rows.append(({u: _neg_q_power(inversions(u)) for u in perms}, value,
                      ("normalization", mu)))
         value = _eliminate(rows, perms)[sigma0]
-        theta0 = tuple(tuple(mu * (j == n + 1 - i) for j in range(1, n + 1))
-                       for i in range(1, n + 1))
-        haar.register_value(n, theta0, value)
     return value

@@ -11,13 +11,11 @@ import itertools
 import json
 import time
 
-from .algebra import LETTER_TO_GEN, AlgebraElement, star
+from .algebra import LETTER_TO_GEN, AlgebraElement, star_gen
 from .corep import _Q2, _Q4, _family_a_double_sum, _family_b_double_sum
 from .haar import haar_ref, haar_state
 from .scalars import ONE, ZERO, poch, q_binomial, qq
 
-_GEN = {ch: AlgebraElement.gen(3, *ij) for ch, ij in LETTER_TO_GEN.items()}
-_STAR = {ch: star(g) for ch, g in _GEN.items()}
 
 _M2 = qq(2) - ONE   # (q^2 - 1), kept separate to mirror the sources
 _M4 = qq(4) - ONE
@@ -111,7 +109,8 @@ def _h(parts):
     """haar_state of a product of (letter, power, starred) factors."""
     x = AlgebraElement.unit(3)
     for ch, p, starred in parts:
-        g = _STAR[ch] if starred else _GEN[ch]
+        make = star_gen if starred else AlgebraElement.gen
+        g = make(3, *LETTER_TO_GEN[ch])
         for _ in range(p):
             x = x * g
     return haar_state(x)

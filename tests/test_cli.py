@@ -131,6 +131,8 @@ def test_exit_codes():
     assert run(["eval", "x[4,1]"])[0] == 2
     assert run(["eval", "a", "--at-q", "q"])[0] == 2
     assert run(["solve", "--n", "3", "--m", "9"])[0] == 3
+    assert run(["eval", "x[1,1]^2 x[2,2]^2 x[3,3]^2 x[4,4]^2 x[5,5]^2 det^-2",
+                "--n", "5"])[0] == 3
     assert run(["gram", "--lambda", "2,1,0", "--mu", "3,0,0"])[0] == 4
     assert run(["nonsense"])[0] == 2
     assert run(["eval", "a", "--at-q", "0"])[0] == 2

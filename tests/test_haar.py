@@ -1,4 +1,10 @@
+import ast
+import inspect
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,10 +12,11 @@ from qhaar.scalars import QRational, ZERO, ONE, qq, q_binomial, q_factorial
 from qhaar.algebra import (AlgebraElement, comultiply, apply_morphism, equal_mod_det,
                            quantum_determinant, pseudo_word, counting_matrix)
 from qhaar.actions import act
+from qhaar.corep import gram_entry_direct, weight_space
 from qhaar.haar import (haar_ref, haar_ref_recursive, haar_pseudo,
                         haar_order1, haar_state, haar_ratio_general_n,
                         check_pseudo_index)
-from qhaar.linsys import enumerate_Bnm
+from qhaar.linsys import enumerate_Bnm, FeasibilityError
 
 E = AlgebraElement
 NEG_ONE = QRational.from_int(-1)
@@ -99,9 +106,72 @@ def test_haar_state_basics():
 
 
 def test_haar_state_unavailable_rank():
-    w = E.word(4, [(i, i) for i in (1, 2, 3, 4)] * 2, det=2)
-    with pytest.raises(ValueError):
+    # rank 5, order 2 lies beyond both oracles' feasibility guards
+    w = E.word(5, [(i, i) for i in (1, 2, 3, 4, 5)] * 2, det=2)
+    with pytest.raises(FeasibilityError):
         haar_state(w)
+
+
+def package_caches():
+    """Every functools cache defined in a qhaar module."""
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "qhaar" or name.startswith("qhaar."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    found[obj.__module__ + "." + obj.__qualname__] = obj
+    return found
+
+
+def run_python(*args):
+    """Runs a fresh interpreter that imports qhaar from src; its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_fills_no_cache():
+    sizes = ast.literal_eval(run_python("-c", "\n".join([
+        "import sys", "import qhaar", inspect.getsource(package_caches),
+        "print({k: f.cache_info().currsize "
+        "for k, f in package_caches().items()})"])))
+    assert sizes["qhaar.algebra._expand"] == 0
+    assert sizes["qhaar.algebra.quantum_determinant_power"] == 0
+    assert set(sizes.values()) == {0}
+
+
+def test_cli_eval_rank2_in_fresh_process():
+    # the value is solved on demand: no earlier call has to prepare it
+    out = run_python("-m", "qhaar.cli", "eval", "x[1,1]^2 x[2,2]^2 det^-2",
+                     "--n", "2")
+    assert out.strip() == "(1)/(q^4 + q^2 + 1)"
+
+
+def test_values_independent_of_call_order():
+    def antidiagonal(n, m):
+        return [(i, n + 1 - i) for i in range(1, n + 1)] * m
+
+    vectors = weight_space((2, 1, 0), (1, 1, 1))
+    evaluations = [
+        lambda: haar_state(E.word(2, [(1, 1), (1, 1), (2, 2), (2, 2)], 2)),
+        lambda: haar_state(E.word(2, [(1, 1), (1, 2), (2, 1), (2, 2)], 2)),
+        lambda: haar_state(E.word(2, antidiagonal(2, 2), 2)),
+        lambda: haar_state(E.word(2, [(1, 1)] * 3 + [(2, 2)] * 3, 3)),
+        lambda: haar_state(E.word(2, [(1, 1), (1, 1), (1, 2), (2, 1),
+                                      (2, 2), (2, 2)], 3)),
+        lambda: haar_state(E.word(2, antidiagonal(2, 3), 3)),
+        lambda: haar_state(E.word(4, antidiagonal(4, 2), 2)),
+        lambda: gram_entry_direct(vectors[0], vectors[-1]),
+    ]
+    forward = [f() for f in evaluations]
+    for f in package_caches().values():
+        f.cache_clear()
+    backward = [f() for f in reversed(evaluations)]
+    assert forward == backward[::-1]
+    assert all(not v.is_zero() for v in forward)
 
 
 def test_translation_invariance():
@@ -252,6 +322,26 @@ def test_defect_recursion(m):
             acc = acc - qq(2 * m - l - 4 * t - r + 1) * \
                 (ONE - qq(2 * t)) / den * haar_pseudo(m, s, r, l, t - 1)
         assert haar_pseudo(m, s, r, l, t) == acc
+
+
+@pytest.mark.parametrize("n,i", [(4, 1), (4, 2), (5, 1), (5, 2), (5, 3)])
+def test_ratio_general_n_embedded_order1(n, i):
+    """The ratio for each order-1 3x3 pattern embedded at rows and columns
+    i..i+2 of a rank-n word, with x_jj on the other diagonal entries, against
+    haar_state, which takes order-1 values at rank n from haar_order1.
+    Orders >= 2 at n >= 4 are unverified: most of those words need the full
+    rank-4 invariance system."""
+    def embedded(theta):
+        sigma = list(range(1, n + 1))
+        for a in range(3):
+            sigma[i - 1 + a] = i + theta[a].index(1)
+        return haar_state(E.word(n, [(r, sigma[r - 1])
+                                     for r in range(1, n + 1)], 1))
+
+    anti = embedded(((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+    for theta in enumerate_Bnm(3, 1):
+        idx = (1, theta[0][0], theta[0][2], theta[2][0], theta[2][2])
+        assert embedded(theta) / anti == haar_ratio_general_n(i, idx, n)
 
 
 def test_ratio_general_n():

@@ -8,7 +8,7 @@ from qhaar.algebra import (AlgebraElement, pseudo_word, counting_matrix,
 from qhaar.haar import haar_ref, haar_order1, haar_pseudo, haar_state
 from qhaar.linsys import (enumerate_Bnm, detq_power_expand, build_system,
                           solve_system, source_matrix_solve, _eliminate)
-from qhaar import linsys
+from qhaar import haar, linsys
 
 E = AlgebraElement
 NEG_ONE = QRational.from_int(-1)
@@ -92,13 +92,15 @@ def test_order2_system_matches_closed_form():
 
 
 def test_rank2_systems_and_registry():
+    haar._system_values.cache_clear()
+    haar._source_value.cache_clear()
     for m in (2, 3, 4):
+        # haar_state solves on demand, before any explicit solve
+        got = {theta: haar_state(E.word(2, pseudo_word(theta), det=m))
+               for theta in enumerate_Bnm(2, m)}
         sol = solve_system(build_system(2, m))
         assert len(sol) == m + 1
-        rm = ((0, m), (m, 0))
-        # registry now feeds haar_state at rank 2
-        x = E.word(2, pseudo_word(rm), det=m)
-        assert haar_state(x) == sol[rm]
+        assert got == sol
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -118,7 +120,7 @@ def test_source_matrix_rank4():
     # order 2 value is new; sanity: it must be h-positive at a sample q
     v2 = source_matrix_solve(4, 2)
     assert not v2.is_zero()
-    # and feeds haar_state via the registry
+    # and feeds haar_state via the Source route
     r2 = tuple(tuple(2 * (j == 3 - i) for j in range(4)) for i in range(4))
     x = E.word(4, pseudo_word(r2), det=2)
     assert haar_state(x) == v2
