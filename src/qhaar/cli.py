@@ -309,15 +309,18 @@ def _cmd_eval(args):
     return _render_value(haar_state(x), args.format, args.at_q)
 
 
+def _system_rows(args):
+    sysm = solve_system(build_system(args.n, args.m,
+                                     args.override_feasibility))
+    return [(json.dumps(theta), _scalar_cell(value, args.at_q))
+            for theta, value in sorted(sysm.items())]
+
+
 def _cmd_table(args):
-    rows = []
     if args.n != 3:
-        sysm = solve_system(build_system(args.n, args.m,
-                                         args.override_feasibility))
-        for theta in enumerate_Bnm(args.n, args.m):
-            rows.append((json.dumps(theta), _scalar_cell(sysm[theta],
-                                                         args.at_q)))
+        rows = _system_rows(args)
     else:
+        rows = []
         for theta in enumerate_Bnm(3, args.m):
             m, s, r, l, t = _pseudo_index_from_theta(theta)
             word = "".join(GEN_TO_LETTER[g] for g in pseudo_word(theta))
@@ -376,8 +379,6 @@ def _cmd_gram(args):
             data["entries"] = [[str(evaluate_numeric(e, args.at_q))
                                 for e in row] for row in g.entries]
         return json.dumps(data)
-    if args.format == "latex" and args.at_q is None:
-        return g.to_latex()
     header = ["v%d" % i for i in range(g.dim())]
     rows = [tuple(_scalar_cell(e, args.at_q) for e in row)
             for row in g.entries]
@@ -412,11 +413,7 @@ def _cmd_dim(args):
 
 
 def _cmd_solve(args):
-    sysm = solve_system(build_system(args.n, args.m,
-                                     args.override_feasibility))
-    rows = [(json.dumps(theta), _scalar_cell(value, args.at_q))
-            for theta, value in sorted(sysm.items())]
-    return _render_rows(["theta", "value"], rows, args.format)
+    return _render_rows(["theta", "value"], _system_rows(args), args.format)
 
 
 def _cmd_source(args):

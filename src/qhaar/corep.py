@@ -195,10 +195,8 @@ def weight_space(lam, mu):
     (l1, l2, _), _shift = normalize_weight(lam)
     if sum(mu) != l1 + l2:
         raise EmptyWeightSpaceError("content does not match the weight")
-    vs = [tableau_to_vector(t) for t in enumerate_ssyt((l1, l2, 0))
-          if t.content() == tuple(mu)]
-    vs.sort(key=lambda v: v.d1)
-    return vs
+    return [tableau_to_vector(t) for t in enumerate_ssyt((l1, l2, 0))
+            if t.content() == tuple(mu)]
 
 
 def contents(lam):
@@ -232,8 +230,10 @@ def _chain_offset(vi, vj):
 
 
 def _family_a_double_sum(d1, d2, c1, c2, c3, k):
+    """The double sum of the family A pair; family B's is this sum at
+    (d1, c2, d3, d2, c3, k).  Terms past j = min(d1, c3) vanish."""
     total = ZERO
-    for j in range(c3 + 1):
+    for j in range(min(d1, c3) + 1):
         outer = (qq(j * j - j) * q_binomial(d1, j) * q_binomial(c3, j)
                  * poch(1, j) / poch(d1 + d2 + c1 + c3 - j + 2, c2 + 1))
         if j % 2:
@@ -244,23 +244,6 @@ def _family_a_double_sum(d1, d2, c1, c2, c3, k):
                              * poch(1, c1 + i)
                              * poch(1, d1 + c2 + c3 - j - i)
                              * q_binomial(c2 - k, i))
-        total = total + outer * inner
-    return total
-
-
-def _family_b_double_sum(d1, d2, d3, c2, c3, k):
-    total = ZERO
-    for j in range(d1 + 1):
-        outer = (qq(j * j - j) * q_binomial(d1, j) * q_binomial(c3, j)
-                 * poch(1, j) / poch(d3 + c2 + c3 + d1 - j + 2, d2 + 1))
-        if j % 2:
-            outer = -outer
-        inner = ZERO
-        for i in range(d2 - k + 1):
-            inner = inner + (qq((2 * c2 + 2 * c3 + 2 * d1 - 2 * j + 2) * i)
-                             * poch(1, c3 + d2 + d1 - j - i)
-                             * poch(1, d3 + i)
-                             * q_binomial(d2 - k, i))
         total = total + outer * inner
     return total
 
@@ -280,7 +263,7 @@ def _closed_pair_B(v, k):
              + 4 * d2 + 2 * c2 * c3 + 4 * c2 + 4 * c3 + k * (d2 + c2 - k))
     base = (pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2)
             / (poch(1, c2 + c3 + 1) * poch(1, d1 + d2 + d3 + 1)))
-    return base * _family_b_double_sum(d1, d2, d3, c2, c3, k)
+    return base * _family_a_double_sum(d1, c2, d3, d2, c3, k)
 
 
 def gram_entry_closed(vi, vj, form="L", side="right_comodule"):
@@ -353,11 +336,6 @@ class GramMatrix:
             "entries": [[e.to_pairs() for e in row]
                         for row in self.entries],
         }
-
-    def to_latex(self):
-        rows = [" & ".join(str(e) for e in row) for row in self.entries]
-        return ("\\begin{tabular}{%s}\n%s\n\\end{tabular}"
-                % ("c" * self.dim(), " \\\\\n".join(rows)))
 
 
 def gram_matrix(lam, mu, form="L", side="right_comodule", method="closed"):

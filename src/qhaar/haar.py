@@ -10,13 +10,10 @@ guards.
 
 from functools import cache
 
-from .scalars import QRational, ZERO, ONE, qq, q_binomial, q_multinomial, \
-    q_factorial
+from .scalars import ZERO, ONE, qq, q_binomial, q_multinomial, q_factorial
 from .algebra import counting_matrix, stochastic_order, inversions, \
     _neg_q_power
 from .linsys import build_system, solve_system, source_matrix_solve
-
-_NEG_ONE = QRational.from_int(-1)
 
 
 def haar_ref(m):
@@ -59,12 +56,13 @@ def haar_pseudo(m, s, r, l, t):
         term = qq((n - k) * (n - 3 * k - 1) + 2 * k * (s + t)) * \
             q_binomial(r, k) * q_binomial(l, k) * \
             q_binomial(s, n - k) * q_binomial(t, n - k) / q_binomial(n, k)
-        total = total + (_NEG_ONE ** k) * term
-    pref = (_NEG_ONE ** (r + l + n)) * \
-        qq((2 * m + 1) * (l + r) + (n - 2) * m - 2 * l * l - 2 * r * r
-           - r * l + 4 * s * t - 3 * n * s - 3 * n * t) / \
+        total = total - term if k % 2 else total + term
+    pref = qq((2 * m + 1) * (l + r) + (n - 2) * m - 2 * l * l - 2 * r * r
+              - r * l + 4 * s * t - 3 * n * s - 3 * n * t) / \
         (q_multinomial(m, (n, m - l - s, m - r - t)) *
          q_multinomial(m, (n, m - r - s, m - l - t)))
+    if (r + l + n) % 2:
+        pref = -pref
     return total * pref * haar_ref(m)
 
 
@@ -95,7 +93,8 @@ def _haar_word(n, factors, det):
     if stochastic_order(theta) != det:
         return ZERO
     m = det
-    if m == 0:
+    if m == 0 or n == 1:
+        # at rank 1, D_q = x11
         return ONE
     if n == 3:
         return haar_pseudo(*_pseudo_index_from_theta(theta))
@@ -121,7 +120,11 @@ def haar_state(x):
 
 def haar_ratio_general_n(i, idx, n):
     """h_n(i; m;s,r,l,t) / h_n(i; m;0,m,m,0) for an embedded 3x3 block
-    starting at row i: equals the rank-3 ratio."""
+    starting at row i, taken to equal the rank-3 ratio.
+
+    Verified only at order 1 (n = 4, 5, by
+    test_ratio_general_n_embedded_order1); orders >= 2 at n >= 4 are
+    unverified."""
     m, s, r, l, t = idx
     if not 1 <= i <= n - 2:
         raise ValueError("block position out of range")

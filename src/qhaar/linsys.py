@@ -83,7 +83,8 @@ def detq_power_expand(n, m, override_feasibility=False):
 def _comultiply_filtered(n, m, factors):
     """Tensor terms of the coproduct of the given order-m word whose legs are
     both order-m words, with incremental pruning on the right-leg row sums.
-    Returns a dict (left word, right word) -> coefficient (legs canonical)."""
+    Returns a dict L -> {K: coefficient}, keyed by the legs' counting
+    matrices (a canonical word is the pseudo-basis word of its matrix)."""
     legs = {((), ()): ONE}
     for (i, j) in factors:
         nxt = {}
@@ -112,7 +113,7 @@ def _comultiply_filtered(n, m, factors):
         assert [sum(r) for r in tl] == alpha
         assert [sum(col) for col in zip(*tl)] == [sum(r) for r in tr]
         assert [sum(col) for col in zip(*tr)] == beta
-        out[(lf, rf)] = c
+        out.setdefault(tl, {})[tr] = c
     return out
 
 
@@ -137,20 +138,9 @@ def build_system(n, m, override_feasibility=False):
     b = detq_power_expand(n, m, override_feasibility)
     rows = []
     for M in B:
-        cM = {}
-        for (lf, rf), c in _comultiply_filtered(n, m, pseudo_word(M)).items():
-            L, K = counting_matrix(n, lf), counting_matrix(n, rf)
-            key = (L, K)
-            s = cM.get(key, ZERO) + c
-            if s.is_zero():
-                cM.pop(key, None)
-            else:
-                cM[key] = s
+        cM = _comultiply_filtered(n, m, pseudo_word(M))
         for L in B:
-            coeffs = {}
-            for (LL, K), c in cM.items():
-                if LL == L:
-                    coeffs[K] = coeffs.get(K, ZERO) + c
+            coeffs = dict(cM.get(L, ()))
             bL = b.get(L, ZERO)
             if not bL.is_zero():
                 coeffs[M] = coeffs.get(M, ZERO) - bL
@@ -298,9 +288,8 @@ def source_matrix_solve(n, m, override_feasibility=False):
     perms = list(permutations(range(1, n + 1)))
     value = ONE
     for mu in range(1, m + 1):
-        b = {}
-        for (factors, _det), c in quantum_determinant_power(n, mu).terms.items():
-            b[counting_matrix(n, factors)] = c
+        # the Source bounds were checked above; mu may exceed the system's
+        b = detq_power_expand(n, mu, override_feasibility=True)
         rows = []
         for sigma in perms:
             if sigma == tuple(range(1, n + 1)):

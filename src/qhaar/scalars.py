@@ -33,10 +33,6 @@ class LaurentPoly:
     def const(c):
         return LaurentPoly({0: c})
 
-    @staticmethod
-    def v_power(e):
-        return LaurentPoly({e: 1})
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self):
@@ -229,12 +225,13 @@ class QRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_LP_ONE, _reduced=False):
+        # _reduced: the caller passes a canonical den with no common factor
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             num, den = _LP_ZERO, _LP_ONE
-        elif not _reduced or den.valuation() != 0 or den.leading_coeff() < 0:
-            num, den = self._normalize(num, den, _reduced)
+        elif not _reduced:
+            num, den = self._normalize(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -242,21 +239,20 @@ class QRational:
         raise AttributeError("QRational is immutable")
 
     @staticmethod
-    def _normalize(num, den, reduced):
+    def _normalize(num, den):
         # move the monomial unit out of den
         dv = den.valuation()
         if dv:
             den = den.shift(-dv)
             num = num.shift(-dv)
-        if not reduced:
-            nlo, nc = num._dense()
-            _, dc = den._dense()
-            g = _poly_gcd_dense(nc, dc)
-            if len(g) > 1 or g[0] != 1:
-                nc = _poly_divexact(nc, g)
-                dc = _poly_divexact(dc, g)
-                num = LaurentPoly._from_dense(nlo, nc)
-                den = LaurentPoly._from_dense(0, dc)
+        nlo, nc = num._dense()
+        _, dc = den._dense()
+        g = _poly_gcd_dense(nc, dc)
+        if len(g) > 1 or g[0] != 1:
+            nc = _poly_divexact(nc, g)
+            dc = _poly_divexact(dc, g)
+            num = LaurentPoly._from_dense(nlo, nc)
+            den = LaurentPoly._from_dense(0, dc)
         if den.leading_coeff() < 0:
             num, den = -num, -den
         return num, den
@@ -266,19 +262,6 @@ class QRational:
     @staticmethod
     def from_int(k):
         return QRational(LaurentPoly.const(k), _LP_ONE, _reduced=True)
-
-    @staticmethod
-    def q_power(a):
-        """q^a for integer or half-integer a (a may be a Fraction with
-        denominator 1 or 2)."""
-        e = Fraction(2) * Fraction(a)
-        if e.denominator != 1:
-            raise ValueError("exponent must be a half-integer: %r" % (a,))
-        return QRational(LaurentPoly.v_power(int(e)), _LP_ONE, _reduced=True)
-
-    @staticmethod
-    def v_power(e):
-        return QRational(LaurentPoly.v_power(e), _LP_ONE, _reduced=True)
 
     # -- structure ----------------------------------------------------
 
@@ -397,8 +380,12 @@ ONE = QRational.from_int(1)
 
 
 def qq(a):
-    """Shorthand: q^a as a QRational (a integer, Fraction or half-int)."""
-    return QRational.q_power(a)
+    """q^a as a QRational for integer or half-integer a (a may be a
+    Fraction with denominator 1 or 2)."""
+    e = Fraction(2) * Fraction(a)
+    if e.denominator != 1:
+        raise ValueError("exponent must be a half-integer: %r" % (a,))
+    return QRational(LaurentPoly({int(e): 1}), _LP_ONE, _reduced=True)
 
 
 # -- q-combinatorics ---------------------------------------------------

@@ -12,7 +12,7 @@ import json
 import time
 
 from .algebra import LETTER_TO_GEN, AlgebraElement, star_gen
-from .corep import _Q2, _Q4, _family_a_double_sum, _family_b_double_sum
+from .corep import _Q2, _Q4, _family_a_double_sum
 from .haar import haar_ref, haar_state
 from .scalars import ONE, ZERO, poch, q_binomial, qq
 
@@ -128,15 +128,8 @@ def _chain_anchor(d1, c1):
     # h(a^c1 (k*)^d1 (a*)^c1 k^d1) resummed over the reference value
     got = _h([("a", c1, 0), ("k", d1, 1), ("a", c1, 1), ("k", d1, 0)])
     m = d1 + c1
-    s1 = ZERO
-    for i in range(d1 + 1):
-        s1 = s1 + qq(2 * (c1 + 1) * i) * q_binomial(d1, i) \
-            / q_binomial(m, i)
-    s2 = ZERO
-    for j in range(c1 + 1):
-        s2 = s2 + qq(2 * (d1 + 1) * j) * q_binomial(c1, j) \
-            / q_binomial(m, j)
-    return got == _sign(m) * qq(-3 * m) * haar_ref(m) * s1 * s2
+    return got == (_sign(m) * qq(-3 * m) * haar_ref(m) * _s_sum(d1, c1)
+                   * _s_sum(c1, d1))
 
 
 def _disp_two_column(d1, c1):
@@ -196,15 +189,12 @@ def _disp_offdiag_g(d1, d2, c1, c2):
     got = _h([("k", d1, 1), ("h", d2, 1), ("a", c1, 0), ("b", c2 + 1, 0),
               ("b", c2, 1), ("a", c1 + 1, 1), ("g", 1, 0), ("h", d2 - 1, 0),
               ("k", d1, 0)])
-    total = ZERO
-    for i in range(c2 + 1):
-        total = total + (qq(2 * (d1 + d2) * i) * poch(1, d1 + c2 - i)
-                         * poch(1, c1 + 1 + i) * q_binomial(c2, i))
     want = -(qq(2 * d1 * d2 + 2 * d1 + 2 * d2 + c1 + 2 + 2 * c1 * c2
                 + 4 * c2) * _Q2 * _Q2 * _Q4
              * poch(1, c2 + 1) * poch(1, d2)
              / (poch(1, d1 + d2 + 1) * poch(1, c1 + c2 + 2)
-                * poch(d1 + d2 + c1 + 2, c2 + 2)) * total)
+                * poch(d1 + d2 + c1 + 2, c2 + 2))
+             * _single_sum_a(d1, d2, c1 + 1, c2, 0, 0))
     return got == want
 
 
@@ -328,7 +318,7 @@ def _disp_family_b_full(d1, d2, d3, c2, c3, k):
                           + k * (d2 + c2 - k + 1))
             * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2)
             / (poch(1, c2 + c3 + 1) * poch(1, d1 + d2 + d3 + 1))
-            * _family_b_double_sum(d1, d2, d3, c2, c3, k))
+            * _family_a_double_sum(d1, c2, d3, d2, c3, k))
     return got == want
 
 

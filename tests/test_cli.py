@@ -101,6 +101,30 @@ def test_gram_agrees_and_json_schema():
     assert len(data["entries"]) == 2 and len(data["entries"][0]) == 2
 
 
+def test_gram_latex():
+    code, out = run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1",
+                     "--format", "latex"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "\\begin{tabular}{cc}"
+    assert lines[1] == "v0 & v1 \\\\"
+    assert lines[-2] == "\\end{tabular}"
+    assert lines[-1] == "methods agree: True"
+
+
+def test_table_and_solve_share_rows():
+    code_t, table = run(["table", "--n", "2", "--m", "2", "--format", "csv"])
+    code_s, solve = run(["solve", "--n", "2", "--m", "2", "--format", "csv"])
+    assert code_t == code_s == 0
+    table, solve = table.splitlines(), solve.splitlines()
+    assert table[0] == "monomial,value" and solve[0] == "theta,value"
+    assert len(table) == 4 and table[1:] == solve[1:]
+
+
+def test_eval_rank1():
+    assert run(["eval", "x[1,1]^2 det^-2", "--n", "1"]) == (0, "1\n")
+
+
 def test_ortho_at_q():
     code, out = run(["ortho", "--lambda", "1,0,0", "--mu", "1,0,0",
                      "--at-q", "1/2"])

@@ -244,7 +244,6 @@ def test_gram_matrix_export():
     g = gram_matrix((1, 0, 0), (1, 0, 0))
     d = g.to_json_dict()
     assert d["lambda"] == [1, 0, 0] and len(d["entries"]) == 1
-    assert "tabular" in g.to_latex()
 
 
 def test_gram_schmidt_trivial():

@@ -105,6 +105,12 @@ def test_haar_state_basics():
     assert got == -qq(-1) * (ONE - qq(2)) / (ONE - qq(4)) * haar_ref(2)
 
 
+def test_haar_state_rank1():
+    # at rank 1, D_q = x11, so every x11^m det^-m has value 1
+    for m in range(5):
+        assert haar_state(E.word(1, [(1, 1)] * m, det=m)) == ONE
+
+
 def test_haar_state_unavailable_rank():
     # rank 5, order 2 lies beyond both oracles' feasibility guards
     w = E.word(5, [(i, i) for i in (1, 2, 3, 4, 5)] * 2, det=2)

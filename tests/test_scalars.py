@@ -21,6 +21,13 @@ def test_reduction():
     assert num / (ONE - qq(2)) == (ONE - qq(2)) * (ONE - qq(4))
 
 
+def test_qq_exponents():
+    assert qq(Fraction(1, 2)) * qq(Fraction(1, 2)) == qq(1)
+    assert qq(Fraction(4, 2)) == qq(2)
+    with pytest.raises(ValueError):
+        qq(Fraction(1, 3))
+
+
 def test_q_number():
     assert q_number(3, 2) == ONE + qq(2) + qq(4)
     assert q_number(0, 2) == ZERO
