@@ -12,12 +12,7 @@ for a fixed det power.
 from functools import cache
 from itertools import permutations
 
-from .scalars import QRational, ZERO, ONE, qq
-
-# same-row / same-column switch: descending pair picks up q^{-1}
-_QINV = qq(-1)
-# the extra term of the third switching rule
-_MINUS_QDIFF = -(qq(1) - qq(-1))
+from .scalars import LaurentPoly, QRational, ZERO, ONE, qq, _LP_ONE, _addmul
 
 # letter aliases for n = 3, row-major ('i' and 'j' are reserved for indices)
 LETTERS = "abcdefghk"
@@ -41,9 +36,12 @@ def _neg_q_power(e):
 # the rewriting engine
 
 
-def _bubble(w, coeff, extras):
-    """Sort the generator list w in place by adjacent switches, collecting the
-    extra words spawned by the two-sided switching rule into extras."""
+def _bubble(w, e, extras):
+    """Sort the generator list w in place by adjacent switches.  The scalar
+    picked up so far is v^e; each same-row or same-column switch of a
+    descending pair multiplies it by q^{-1} = v^{-2}.  The extra words spawned
+    by the two-sided switching rule go into extras as (word, e), standing for
+    v^e * (q^{-1} - q) * word."""
     p = 0
     while p < len(w) - 1:
         g1, g2 = w[p], w[p + 1]
@@ -53,32 +51,73 @@ def _bubble(w, coeff, extras):
         i1, j1 = g1
         i2, j2 = g2
         if i1 == i2 or j1 == j2:
-            coeff = coeff * _QINV
+            e -= 2
         elif j1 > j2:
             # strictly descending in both indices: splits off an extra word
-            extras.append((w[:p] + [(i2, j1), (i1, j2)] + w[p + 2:],
-                           coeff * _MINUS_QDIFF))
+            extras.append((w[:p] + [(i2, j1), (i1, j2)] + w[p + 2:], e))
         w[p], w[p + 1] = g2, g1
         if p:
             p -= 1
-    return tuple(w), coeff
+    return tuple(w), e
 
 
 @cache
 def _expand(word):
-    """Canonical expansion of a generator tuple: dict canonical word -> scalar.
-    The result is shared between callers and must not be mutated."""
+    """Canonical expansion of a generator tuple: dict canonical word ->
+    LaurentPoly (every rewriting coefficient has denominator 1).  The result
+    is shared between callers and must not be mutated."""
     extras = []
-    canon, coeff = _bubble(list(word), ONE, extras)
-    out = {canon: coeff}
-    for w2, c2 in extras:
+    canon, e = _bubble(list(word), 0, extras)
+    acc = {canon: {e: 1}}
+    for w2, e2 in extras:
+        # v^e2 * (q^{-1} - q) = v^(e2 - 2) - v^(e2 + 2)
+        lo, hi = e2 - 2, e2 + 2
         for cw, cc in _expand(tuple(w2)).items():
-            s = out.get(cw, ZERO) + c2 * cc
-            if s.is_zero():
-                out.pop(cw, None)
-            else:
-                out[cw] = s
+            t = acc.setdefault(cw, {})
+            for k, c in cc.terms.items():
+                t[k + lo] = t.get(k + lo, 0) + c
+                t[k + hi] = t.get(k + hi, 0) - c
+    out = {}
+    for cw, t in acc.items():
+        c = LaurentPoly(t)
+        if c:
+            out[cw] = c
     return out
+
+
+def _wrap(acc):
+    """{key: QRational} from {(key, den): v-exponent -> integer coefficient}:
+    one QRational per (key, den), normalized (with its gcd) only when den is
+    not 1, summed over den; zero sums are dropped."""
+    out = {}
+    for (key, den), t in acc.items():
+        num = LaurentPoly(t)
+        if not num:
+            continue
+        c = QRational(num, den, _reduced=den == _LP_ONE)
+        if key in out:
+            c = out[key] + c
+            if c.is_zero():
+                del out[key]
+                continue
+        out[key] = c
+    return out
+
+
+def _normal_order(pieces):
+    """Canonical terms {(word, det): QRational} of the sum of the
+    ((factors, det), coefficient) pieces.  Coefficient numerators times
+    rewriting polynomials are summed as integers per (canonical word, det,
+    coefficient denominator)."""
+    acc = {}
+    for (factors, det), c in pieces:
+        if c.is_zero():
+            continue
+        if det < 0:
+            raise ValueError("det power must be >= 0")
+        for cw, cc in _expand(tuple(factors)).items():
+            _addmul(acc.setdefault(((cw, det), c.den), {}), c.num, cc)
+    return _wrap(acc)
 
 
 # ---------------------------------------------------------------------
@@ -99,18 +138,7 @@ class AlgebraElement:
             if canonical:
                 merged = {w: c for w, c in terms.items() if not c.is_zero()}
             else:
-                for (factors, det), c in terms.items():
-                    if c.is_zero():
-                        continue
-                    if det < 0:
-                        raise ValueError("det power must be >= 0")
-                    for cw, cc in _expand(tuple(factors)).items():
-                        key = (cw, det)
-                        s = merged.get(key, ZERO) + c * cc
-                        if s.is_zero():
-                            merged.pop(key, None)
-                        else:
-                            merged[key] = s
+                merged = _normal_order(terms.items())
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", merged)
 
@@ -196,17 +224,10 @@ class AlgebraElement:
             return self.scale(other)
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        t = {}
-        for (f1, d1), c1 in self.terms.items():
-            for (f2, d2), c2 in other.terms.items():
-                c = c1 * c2
-                key = (f1 + f2, d1 + d2)
-                s = t.get(key, ZERO) + c
-                if s.is_zero():
-                    t.pop(key, None)
-                else:
-                    t[key] = s
-        return AlgebraElement(self.n, t)
+        return AlgebraElement(self.n, _normal_order(
+            ((f1 + f2, d1 + d2), c1 * c2)
+            for (f1, d1), c1 in self.terms.items()
+            for (f2, d2), c2 in other.terms.items()), canonical=True)
 
     def __rmul__(self, other):
         if isinstance(other, (int, QRational)):
@@ -265,26 +286,20 @@ class TensorElement:
 def comultiply(x):
     """Coproduct into a TensorElement, both legs normal-ordered."""
     n = x.n
-    out = {}
+    acc = {}
     for (factors, det), coeff in x.terms.items():
-        legs = {((), ()): coeff}
+        legs = [((), ())]
         for (i, j) in factors:
-            nxt = {}
-            for (lf, rf), c in legs.items():
-                for k in range(1, n + 1):
-                    key = (lf + ((i, k),), rf + ((k, j),))
-                    nxt[key] = nxt.get(key, ZERO) + c
-            legs = nxt
-        for (lf, rf), c in legs.items():
+            legs = [(lf + ((i, k),), rf + ((k, j),))
+                    for lf, rf in legs for k in range(1, n + 1)]
+        for lf, rf in legs:
+            right = _expand(rf)
             for cl, ccl in _expand(lf).items():
-                for cr, ccr in _expand(rf).items():
-                    key = ((cl, det), (cr, det))
-                    s = out.get(key, ZERO) + c * ccl * ccr
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-    return TensorElement(n, out)
+                c = coeff.num * ccl
+                for cr, ccr in right.items():
+                    key = (((cl, det), (cr, det)), coeff.den)
+                    _addmul(acc.setdefault(key, {}), c, ccr)
+    return TensorElement(n, _wrap(acc))
 
 
 def counit(x):

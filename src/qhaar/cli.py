@@ -287,9 +287,8 @@ def _render_rows(header, rows, fmt):
                 % ("c" * len(header), " & ".join(header), body))
     width = [max(len(str(r[i])) for r in rows + [header])
              for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, width))]
-    lines += ["  ".join(str(c).ljust(w) for c, w in zip(r, width))
-              for r in rows]
+    lines = ["  ".join(str(c).ljust(w) for c, w in zip(r, width)).rstrip()
+             for r in [header] + rows]
     return "\n".join(lines)
 
 

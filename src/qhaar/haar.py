@@ -10,7 +10,8 @@ guards.
 
 from functools import cache
 
-from .scalars import ZERO, ONE, qq, q_binomial, q_multinomial, q_factorial
+from .scalars import LaurentPoly, QRational, ZERO, ONE, qq, q_binomial, \
+    q_multinomial, q_factorial, _LP_ONE, _addmul
 from .algebra import counting_matrix, stochastic_order, inversions, \
     _neg_q_power
 from .linsys import build_system, solve_system, source_matrix_solve
@@ -111,10 +112,24 @@ def _haar_word(n, factors, det):
 
 
 def haar_state(x):
-    """h(x) for an arbitrary element, by linearity over canonical words."""
+    """h(x) for an arbitrary element, by linearity over canonical words.
+
+    Terms whose coefficient has denominator 1 are summed as integer
+    numerators per denominator of the Haar value; only those sums and the
+    other terms are added as QRational, so gcds run once per distinct
+    denominator instead of once per term."""
+    buckets = {}
     total = ZERO
     for (factors, det), c in x.terms.items():
-        total = total + c * _haar_word(x.n, factors, det)
+        h = _haar_word(x.n, factors, det)
+        if h.is_zero():
+            continue
+        if c.den == _LP_ONE:
+            _addmul(buckets.setdefault(h.den, {}), c.num, h.num)
+        else:
+            total = total + c * h
+    for den, t in buckets.items():
+        total = total + QRational(LaurentPoly(t), den, _reduced=den == _LP_ONE)
     return total
 
 

@@ -9,7 +9,8 @@ without touching the full system.
 
 from itertools import permutations
 
-from .scalars import ZERO, ONE, qq
+from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
+    _addmul
 from .algebra import (counting_matrix, stochastic_order, pseudo_word,
                       quantum_determinant_power, inversions, _expand,
                       _neg_q_power)
@@ -85,22 +86,24 @@ def _comultiply_filtered(n, m, factors):
     both order-m words, with incremental pruning on the right-leg row sums.
     Returns a dict L -> {K: coefficient}, keyed by the legs' counting
     matrices (a canonical word is the pseudo-basis word of its matrix)."""
-    legs = {((), ()): ONE}
+    # every coefficient is a rewriting polynomial: LaurentPoly until out
+    legs = {((), ()): _LP_ONE}
     for (i, j) in factors:
         nxt = {}
         for (lf, rf), c in legs.items():
             for k in range(1, n + 1):
                 if sum(1 for (r, _) in rf if r == k) >= m:
                     continue
+                right = _expand(rf + ((k, j),))
                 for cl, ccl in _expand(lf + ((i, k),)).items():
-                    for cr, ccr in _expand(rf + ((k, j),)).items():
-                        key = (cl, cr)
-                        s = nxt.get(key, ZERO) + c * ccl * ccr
-                        if s.is_zero():
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = s
-        legs = nxt
+                    cc = c * ccl
+                    for cr, ccr in right.items():
+                        _addmul(nxt.setdefault((cl, cr), {}), cc, ccr)
+        legs = {}
+        for key, t in nxt.items():
+            c = LaurentPoly(t)
+            if c:
+                legs[key] = c
     alpha = [sum(r) for r in counting_matrix(n, factors)]
     beta = [sum(c) for c in zip(*counting_matrix(n, factors))]
     out = {}
@@ -113,7 +116,7 @@ def _comultiply_filtered(n, m, factors):
         assert [sum(r) for r in tl] == alpha
         assert [sum(col) for col in zip(*tl)] == [sum(r) for r in tr]
         assert [sum(col) for col in zip(*tr)] == beta
-        out.setdefault(tl, {})[tr] = c
+        out.setdefault(tl, {})[tr] = QRational(c, _LP_ONE, _reduced=True)
     return out
 
 
@@ -218,9 +221,10 @@ def _polarity(n, g):
 def _class_sort(n, word):
     """Stable sort by polarity class (negative, neutral, positive from the
     right end to the left, i.e. negatives first) using only the switch rules
-    that generate no extra terms."""
+    that generate no extra terms.  Returns the sorted list and the exponent e
+    of the scalar v^e the switches picked up."""
     w = list(word)
-    coeff = ONE
+    e = 0
 
     def key(g):
         return _polarity(n, g)
@@ -233,19 +237,19 @@ def _class_sort(n, word):
             if key(g1) <= key(g2):
                 continue
             if g1[0] == g2[0] or g1[1] == g2[1]:
-                coeff = coeff * (qq(-1) if g1 > g2 else qq(1))
+                e += -2 if g1 > g2 else 2
             else:
                 # must be an anti-diagonal pair; a diagonal pair would spawn
                 # an extra monomial and break the reduction
                 assert (g1[0] - g2[0]) * (g1[1] - g2[1]) < 0, (g1, g2)
             w[p], w[p + 1] = g2, g1
             changed = True
-    return w, coeff
+    return w, e
 
 
 def _eta_reduction(n, m, sigma, f):
-    """h(eta_f det^-m) as a dict tau -> coefficient over the Source unknowns
-    h(x_m^tau)."""
+    """h(eta_f det^-m) as a dict tau -> LaurentPoly coefficient over the
+    Source unknowns h(x_m^tau)."""
     word = []
     for r in range(1, n + 1):
         core = (r, n + 1 - r)
@@ -255,7 +259,7 @@ def _eta_reduction(n, m, sigma, f):
             word.extend([core] * f[r - 1])
             word.append((sigma[r - 1], n + 1 - r))
             word.extend([core] * (m - 1 - f[r - 1]))
-    swapped, coeff = _class_sort(n, word)
+    swapped, e = _class_sort(n, word)
     neg = [g for g in swapped if _polarity(n, g) < 0]
     pos = [g for g in swapped if _polarity(n, g) > 0]
     fixed = [(r, n + 1 - r) for r in range(1, n + 1) if sigma[r - 1] == r]
@@ -268,13 +272,13 @@ def _eta_reduction(n, m, sigma, f):
     assert neutrals == expected and swapped == neg + neutrals + pos
     # modular transfer of the trailing neutral extras and positives
     d = sum(2 * n + 2 - 2 * i - 2 * j for (i, j) in fixed + pos)
-    coeff = coeff * qq(d)
+    e += 2 * d
     prefix = tuple(fixed + pos + neg)
     out = {}
     for cw, cc in _expand(prefix).items():
         tau = tuple(j for (_i, j) in cw)
         assert sorted(tau) == list(range(1, n + 1))
-        out[tau] = out.get(tau, ZERO) + coeff * cc
+        out[tau] = out.get(tau, _LP_ZERO) + cc.shift(e)
     return out
 
 
@@ -319,7 +323,9 @@ def source_matrix_solve(n, m, override_feasibility=False):
                 assert len(exp) == 1 and pseudo_word(theta) in exp
                 lam = exp[pseudo_word(theta)]
                 for tau, c in _eta_reduction(n, mu, sigma, f).items():
-                    coeffs[tau] = coeffs.get(tau, ZERO) + lam * c
+                    coeffs[tau] = coeffs.get(tau, _LP_ZERO) + lam * c
+            coeffs = {k: QRational(v, _LP_ONE, _reduced=True)
+                      for k, v in coeffs.items()}
             bL = b.get(theta, ZERO)
             coeffs[sigma0] = coeffs.get(sigma0, ZERO) - bL
             rows.append(({k: v for k, v in coeffs.items() if not v.is_zero()},

@@ -144,6 +144,16 @@ _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly({0: 1})
 
 
+def _addmul(acc, a, b):
+    """acc += a * b, for a dict acc of v-exponent -> integer coefficient and
+    LaurentPoly a, b; zero coefficients may remain in acc, and LaurentPoly(acc)
+    drops them."""
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
 def _content(coeffs):
     g = 0
     for c in coeffs:
@@ -285,6 +295,11 @@ class QRational:
     def __add__(self, other):
         if isinstance(other, int):
             other = QRational.from_int(other)
+        # both operands are canonical: adding zero needs no gcd
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
         if self.den == other.den:
             if self.den == _LP_ONE:
                 return QRational(self.num + other.num, _LP_ONE, _reduced=True)

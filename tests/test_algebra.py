@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from qhaar.scalars import QRational, ZERO, ONE, qq, q_binomial, poch
+from qhaar.scalars import LaurentPoly, QRational, ZERO, ONE, qq, q_binomial, \
+    poch
 from qhaar.algebra import (
     AlgebraElement, TensorElement, comultiply, counit,
     quantum_minor, quantum_determinant, quantum_determinant_power, antipode,
@@ -62,7 +63,31 @@ def test_rewriting_confluence_random():
     gens = list(LETTER_TO_GEN.values())
     for _ in range(60):
         word = tuple(rng.choice(gens) for _ in range(rng.randint(2, 7)))
-        assert _expand(word) == _slow_expand(word, rng)
+        assert {w: QRational(c) for w, c in _expand(word).items()} == \
+            _slow_expand(word, rng)
+
+
+def test_diagonal_word_expansion():
+    # x33^3 x22^3 x11^3: every switch of two diagonal generators spawns an
+    # extra word, so this is the rewriter's worst case at nine letters
+    word = ((3, 3),) * 3 + ((2, 2),) * 3 + ((1, 1),) * 3
+    got = _expand(word)
+    assert len(got) == 55
+    assert {w: QRational(c) for w, c in got.items()} == \
+        _slow_expand(word, random.Random(3))
+
+
+def test_coefficient_types():
+    # the rewriter works on Laurent polynomials; elements keep QRational
+    word = ((3, 3), (2, 2), (1, 1), (1, 2))
+    assert all(isinstance(c, LaurentPoly) for c in _expand(word).values())
+    x = E.word(3, word, 1, ONE / (ONE - qq(2))) + E.word(3, word[::-1])
+    for y in (x, star(x) * x):
+        assert y.terms
+        assert all(isinstance(c, QRational) for c in y.terms.values())
+    dx = comultiply(x)
+    assert dx.terms
+    assert all(isinstance(c, QRational) for c in dx.terms.values())
 
 
 def test_canonical_words_sorted():

@@ -112,6 +112,14 @@ def test_gram_latex():
     assert lines[-1] == "methods agree: True"
 
 
+def test_text_rows_have_no_trailing_spaces():
+    code, out = run(["table", "--n", "2", "--m", "2"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert all(line == line.rstrip() for line in lines)
+
+
 def test_table_and_solve_share_rows():
     code_t, table = run(["table", "--n", "2", "--m", "2", "--format", "csv"])
     code_s, solve = run(["solve", "--n", "2", "--m", "2", "--format", "csv"])

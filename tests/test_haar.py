@@ -10,9 +10,10 @@ import pytest
 
 from qhaar.scalars import QRational, ZERO, ONE, qq, q_binomial, q_factorial
 from qhaar.algebra import (AlgebraElement, comultiply, apply_morphism, equal_mod_det,
-                           quantum_determinant, pseudo_word, counting_matrix)
+                           quantum_determinant, pseudo_word, counting_matrix,
+                           star)
 from qhaar.actions import act
-from qhaar.corep import gram_entry_direct, weight_space
+from qhaar.corep import gram_entry_direct, weight_space, vector_to_element
 from qhaar.haar import (haar_ref, haar_ref_recursive, haar_pseudo,
                         haar_order1, haar_state, haar_ratio_general_n,
                         check_pseudo_index)
@@ -103,6 +104,35 @@ def test_haar_state_basics():
     got = haar_state(E.word(3, [(1, 2), (2, 3), (3, 1),
                                 (1, 3), (2, 2), (3, 1)], det=2))
     assert got == -qq(-1) * (ONE - qq(2)) / (ONE - qq(4)) * haar_ref(2)
+
+
+def _termwise_haar(x):
+    """h(x) as the plain sum of c * h(word), one QRational product per term."""
+    total = ZERO
+    for w, c in x.terms.items():
+        total = total + c * haar_state(E(x.n, {w: ONE}, canonical=True))
+    return total
+
+
+def test_haar_state_matches_termwise_sum():
+    vs = weight_space((2, 1, 0), (1, 1, 1))
+    p = star(vector_to_element(vs[0])) * vector_to_element(vs[-1])
+    assert all(c.den == ONE.den for c in p.terms.values())
+    # coefficients with the denominator 1 - q^2, where it does not cancel
+    scaled = p.scale(ONE / (ONE - qq(2)))
+    assert any(c.den != ONE.den for c in scaled.terms.values())
+    # h is gamma-invariant, so the terms of p - gamma(p) cancel under h
+    cancel = p - apply_morphism(p, "gamma")
+    assert not cancel.is_zero()
+    mixed = scaled + cancel.scale(qq(3))
+    # six terms over [3]!, whose sum [3]!/[3]! must reduce to 1
+    unit = quantum_determinant(3) * E.det_inv(3)
+    for x in (p, scaled, cancel, mixed, unit):
+        assert haar_state(x) == _termwise_haar(x)
+    assert haar_state(p) != ZERO
+    assert haar_state(cancel) == ZERO
+    assert haar_state(scaled) == haar_state(p) / (ONE - qq(2))
+    assert haar_state(mixed) == haar_state(scaled)
 
 
 def test_haar_state_rank1():

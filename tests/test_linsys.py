@@ -7,7 +7,8 @@ from qhaar.algebra import (AlgebraElement, pseudo_word, counting_matrix,
                            stochastic_order, quantum_determinant, inversions)
 from qhaar.haar import haar_ref, haar_order1, haar_pseudo, haar_state
 from qhaar.linsys import (enumerate_Bnm, detq_power_expand, build_system,
-                          solve_system, source_matrix_solve, _eliminate)
+                          solve_system, source_matrix_solve, _eliminate,
+                          _comultiply_filtered)
 from qhaar import haar, linsys
 
 E = AlgebraElement
@@ -124,6 +125,23 @@ def test_source_matrix_rank4():
     r2 = tuple(tuple(2 * (j == 3 - i) for j in range(4)) for i in range(4))
     x = E.word(4, pseudo_word(r2), det=2)
     assert haar_state(x) == v2
+
+
+def test_rows_and_values_are_qrational():
+    M = enumerate_Bnm(3, 2)[4]
+    legs = _comultiply_filtered(3, 2, pseudo_word(M))
+    assert legs
+    assert all(isinstance(c, QRational)
+               for row in legs.values() for c in row.values())
+    system = build_system(2, 2)
+    for row, rhs, _tag in system.rows:
+        assert isinstance(rhs, QRational)
+        assert all(isinstance(c, QRational) for c in row.values())
+    assert all(isinstance(v, QRational)
+               for v in solve_system(system).values())
+    assert isinstance(source_matrix_solve(3, 2), QRational)
+    assert isinstance(haar_state(E.word(2, [(1, 2), (2, 1)], det=1)),
+                      QRational)
 
 
 def test_feasibility_guard():
