@@ -10,7 +10,7 @@ without touching the full system.
 from itertools import permutations
 
 from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
-    _addmul
+    _addmul, _lp_divexact, _lp_gcd
 from .algebra import (counting_matrix, stochastic_order, pseudo_word,
                       quantum_determinant_power, inversions, _expand,
                       _neg_q_power)
@@ -154,55 +154,96 @@ def build_system(n, m, override_feasibility=False):
     return HaarLinearSystem(n, m, B, rows)
 
 
+def _add_scaled(row, f, other):
+    """row += f * other, for sparse rows of QRational coefficients."""
+    for t, c in other.items():
+        s = row.get(t, ZERO) + f * c
+        if s.is_zero():
+            row.pop(t, None)
+        else:
+            row[t] = s
+
+
 def _eliminate(rows, unknowns):
-    """The values of the unknowns from (coefficient dict, rhs, tag) rows by
-    exact sparse elimination, always pivoting on the shortest remaining row;
-    verifies that every row has zero residual."""
-    pending = [(dict(row), rhs) for row, rhs, _tag in rows]
-    pivots = []
-    while pending:
-        pending.sort(key=lambda rv: len(rv[0]), reverse=True)
-        row, rhs = pending.pop()
+    """The values of the unknowns from (coefficient dict, rhs, tag) rows.
+
+    Rows with a nonzero rhs come first (homogeneous rows fix the values only
+    up to scale), then the shortest, in a stable order.  Each is reduced
+    against a reduced echelon form, whose pivot rows hold only unknowns
+    without a pivot, and elimination stops once every unknown has a pivot;
+    the pivots' right-hand sides are then the values.  Every row, used or
+    not, passes the residual gate."""
+    order = sorted(range(len(rows)),
+                   key=lambda i: (rows[i][1].is_zero(), len(rows[i][0])))
+    free = set(unknowns)
+    pivots = {}     # unknown -> [row over free unknowns, rhs]
+    used = []
+    for i in order:
+        if not free:
+            break
+        row, rhs, tag = rows[i]
+        row = dict(row)
+        for u in [u for u in row if u in pivots]:
+            f = row.pop(u)
+            _add_scaled(row, f, pivots[u][0])
+            rhs = rhs - f * pivots[u][1]
         if not row:
             if not rhs.is_zero():
-                raise ValueError("inconsistent system")
+                raise ValueError(
+                    "inconsistent system: nonzero residual on row %r" % (tag,))
             continue
         u = min(row)
-        inv = ONE / row[u]
-        prow = {t: -c * inv for t, c in row.items() if t != u}
+        inv = ONE / row.pop(u)
+        prow = {t: -c * inv for t, c in row.items()}
         prhs = rhs * inv
-        pivots.append((u, prow, prhs))
-        nxt = []
-        for orow, orhs in pending:
-            f = orow.pop(u, None)
+        for entry in pivots.values():
+            f = entry[0].pop(u, None)
             if f is not None:
-                for t, c in prow.items():
-                    s = orow.get(t, ZERO) + f * c
-                    if s.is_zero():
-                        orow.pop(t, None)
-                    else:
-                        orow[t] = s
-                orhs = orhs - f * prhs
-            if orow or not orhs.is_zero():
-                nxt.append((orow, orhs))
-        pending = nxt
-    if {p[0] for p in pivots} != set(unknowns):
-        raise ValueError(
-            "rank deficient system: %d unknowns undetermined"
-            % (len(unknowns) - len(pivots)))
-    # a pivot's row holds only unknowns pivoted after it
-    solution = {}
-    for u, row, acc in reversed(pivots):
-        for t, c in row.items():
-            acc = acc + c * solution[t]
-        solution[u] = acc
-    for row, rhs, tag in rows:
-        acc = ZERO
-        for u, c in row.items():
-            acc = acc + c * solution[u]
-        if acc != rhs:
-            raise ValueError("nonzero residual on row %r" % (tag,))
+                _add_scaled(entry[0], f, prow)
+                entry[1] = entry[1] + f * prhs
+        pivots[u] = [prow, prhs]
+        free.discard(u)
+        used.append(i)
+    if free:
+        raise ValueError("rank deficient system: %d unknowns undetermined"
+                         % len(free))
+    solution = {u: pivots[u][1] for u in unknowns}
+    _residual_gate(rows, solution, used)
     return solution
+
+
+def _residual_gate(rows, solution, used):
+    """Checks sum_u c_u x_u = rhs exactly on every row.  With D the lcm of
+    the values' denominators, each row sums c_u * (x_u D) as integer Laurent
+    coefficients and compares with rhs * D; a coefficient whose denominator
+    is not 1 is added as a QRational.  The rows in used, which fixed the
+    pivots, go first: a failure there is a fault of the elimination, and
+    once they pass the values solve a full-rank subsystem, so a failure
+    elsewhere means the system is inconsistent."""
+    D = _LP_ONE
+    for d in {x.den for x in solution.values()}:
+        D = D * _lp_divexact(d, _lp_gcd(D, d))
+    scaled = {u: x.num * _lp_divexact(D, x.den) for u, x in solution.items()}
+    first = set(used)
+    for i in list(used) + [i for i in range(len(rows)) if i not in first]:
+        row, rhs, tag = rows[i]
+        acc = {}
+        rest = ZERO
+        for u, c in row.items():
+            if c.den == _LP_ONE:
+                _addmul(acc, c.num, scaled[u])
+            else:
+                rest = rest + c * QRational(scaled[u], _LP_ONE, _reduced=True)
+        lhs = LaurentPoly(acc)
+        if rest.is_zero():
+            ok = lhs * rhs.den == rhs.num * D
+        else:
+            ok = (QRational(lhs, _LP_ONE, _reduced=True) + rest
+                  == rhs * QRational(D, _LP_ONE, _reduced=True))
+        if not ok:
+            raise ValueError(
+                ("nonzero residual on row %r" if i in first else
+                 "inconsistent system: nonzero residual on row %r") % (tag,))
 
 
 def solve_system(system):

@@ -7,6 +7,7 @@ Printing collapses even v-powers back to q-powers.
 """
 
 from fractions import Fraction
+from functools import cache
 import math
 
 
@@ -226,6 +227,20 @@ def _poly_divexact(a, b):
     return q
 
 
+def _lp_gcd(a, b):
+    """A gcd in Z[v] of two nonzero LaurentPoly, of valuation 0 (a Laurent
+    gcd is defined up to a monomial unit)."""
+    return LaurentPoly._from_dense(0, _poly_gcd_dense(a._dense()[1],
+                                                      b._dense()[1]))
+
+
+def _lp_divexact(a, b):
+    """a / b for LaurentPoly where b divides a exactly; raises if not."""
+    alo, ac = a._dense()
+    blo, bc = b._dense()
+    return LaurentPoly._from_dense(alo - blo, _poly_divexact(ac, bc))
+
+
 class QRational:
     """Reduced fraction of two LaurentPoly, the universal scalar.
 
@@ -397,6 +412,8 @@ ONE = QRational.from_int(1)
 def qq(a):
     """q^a as a QRational for integer or half-integer a (a may be a
     Fraction with denominator 1 or 2)."""
+    if type(a) is int:
+        return QRational(LaurentPoly({2 * a: 1}), _LP_ONE, _reduced=True)
     e = Fraction(2) * Fraction(a)
     if e.denominator != 1:
         raise ValueError("exponent must be a half-integer: %r" % (a,))
@@ -406,6 +423,7 @@ def qq(a):
 # -- q-combinatorics ---------------------------------------------------
 
 
+@cache
 def poch(a, n):
     """(q^{2a}; q^2)_n = prod_{i=0}^{n-1} (1 - q^{2a+2i}) as a QRational."""
     if n < 0:

@@ -34,10 +34,10 @@ def shapes_within_3():
 
 
 def test_criterion_01_rank3_system_matches_closed_form():
-    for m in (1, 2):
+    for m in (1, 2, 3):
         values = solve_system(build_system(3, m))
         thetas = enumerate_Bnm(3, m)
-        assert len(thetas) == (6 if m == 1 else 21)
+        assert len(thetas) == {1: 6, 2: 21, 3: 55}[m]
         for theta in thetas:
             assert values[theta] == haar_pseudo(*_pseudo_index_from_theta(theta))
 

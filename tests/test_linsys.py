@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -192,3 +193,73 @@ def test_eliminate_long_dependency_chain():
     finally:
         sys.setrecursionlimit(limit)
     assert set(sol.values()) == {ONE / QRational.from_int(k)}
+
+
+def test_eliminate_inconsistent_after_full_rank():
+    # x = y = z = 1/3 is fixed by the last three rows; the first, longer
+    # homogeneous row comes after full rank, so only the gate sees it
+    rows = [({"x": ONE, "y": ONE, "z": qq(1)}, ZERO, "x + y + q z = 0"),
+            ({"x": ONE, "y": ONE, "z": ONE}, ONE, "sum"),
+            ({"x": ONE, "y": NEG_ONE}, ZERO, "x = y"),
+            ({"y": ONE, "z": NEG_ONE}, ZERO, "y = z")]
+    third = ONE / QRational.from_int(3)
+    assert _eliminate(rows[1:], ["x", "y", "z"]) == \
+        {"x": third, "y": third, "z": third}
+    with pytest.raises(ValueError, match="^inconsistent system: nonzero "
+                       "residual on row 'x \\+ y \\+ q z = 0'$"):
+        _eliminate(rows, ["x", "y", "z"])
+
+
+def test_residual_gate_checks_rows_never_pivoted(monkeypatch):
+    # corrupt one value after elimination: the pivot rows reject it, and so
+    # do the rows that never fixed a pivot, on their own
+    system = build_system(3, 2)
+    gate = linsys._residual_gate
+    pivot_tags = []
+
+    def corrupted(rows, solution, used):
+        pivot_tags.extend(rows[i][2] for i in used)
+        bad = dict(solution)
+        u = max(bad)
+        bad[u] = bad[u] + ONE
+        with pytest.raises(ValueError, match="^nonzero residual on row"):
+            gate(rows, bad, used)
+        gate([row for i, row in enumerate(rows) if i not in set(used)],
+             bad, ())
+
+    monkeypatch.setattr(linsys, "_residual_gate", corrupted)
+    with pytest.raises(ValueError, match="^inconsistent system: nonzero "
+                       "residual on row \\('invariance'") as err:
+        solve_system(system)
+    assert len(pivot_tags) == len(system.unknowns)
+    assert not any(str(err.value).endswith(repr(t)) for t in pivot_tags)
+
+
+def test_eliminate_non_unit_denominators():
+    inv = ONE / (ONE - qq(2))
+    # a coefficient 1/(1 - q^2) on a pivot row and on a row only the gate sees
+    rows = [({"x": inv, "y": ONE}, ONE, "x/(1 - q^2) + y = 1"),
+            ({"x": ONE, "y": NEG_ONE}, ZERO, "x = y"),
+            ({"x": inv, "y": -inv}, ZERO, "(x - y)/(1 - q^2) = 0")]
+    x = (ONE - qq(2)) / (QRational.from_int(2) - qq(2))
+    assert _eliminate(rows, ["x", "y"]) == {"x": x, "y": x}
+    with pytest.raises(ValueError, match="^inconsistent system"):
+        _eliminate(rows + [({"x": inv, "y": inv}, ZERO, "bad")], ["x", "y"])
+    # a right-hand side 1/(1 - q^2), as the Source scheme's normalization
+    # row passes the previous order's value
+    rhs = ONE / (ONE - qq(2))
+    rows = [({"x": ONE, "y": ONE}, rhs, "sum"),
+            ({"x": ONE, "y": -qq(1)}, ZERO, "x = q y"),
+            ({"x": qq(-1), "y": NEG_ONE}, ZERO, "x/q = y")]
+    y = rhs / (ONE + qq(1))
+    assert _eliminate(rows, ["x", "y"]) == {"x": qq(1) * y, "y": y}
+
+
+def test_eliminate_row_order_independent():
+    system = build_system(3, 2)
+    want = solve_system(system)
+    for seed in (0, 1):
+        rows = list(system.rows)
+        random.Random(seed).shuffle(rows)
+        got = _eliminate(rows, system.unknowns)
+        assert got == want and list(got) == list(want)

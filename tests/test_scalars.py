@@ -26,6 +26,10 @@ def test_qq_exponents():
     assert qq(Fraction(4, 2)) == qq(2)
     with pytest.raises(ValueError):
         qq(Fraction(1, 3))
+    # the int fast path builds the same scalar as the Fraction route
+    for k in range(-4, 5):
+        assert qq(k) == qq(Fraction(k)) == qq(Fraction(2 * k, 2))
+        assert qq(k).num.terms == {2 * k: 1}
 
 
 def test_q_number():
@@ -50,6 +54,10 @@ def test_pochhammer():
     assert poch(1, 2) == (ONE - qq(2)) * (ONE - qq(4))
     assert poch(1, 0) == ONE
     assert poch(2, 1) == ONE - qq(4)
+    # memoized: a repeated call returns the same immutable scalar
+    assert poch(1, 3) is poch(1, 3)
+    with pytest.raises(ValueError):
+        poch(1, -1)
 
 
 def test_pochhammer_vs_factorial():
