@@ -412,9 +412,7 @@ ONE = QRational.from_int(1)
 def qq(a):
     """q^a as a QRational for integer or half-integer a (a may be a
     Fraction with denominator 1 or 2)."""
-    if type(a) is int:
-        return QRational(LaurentPoly({2 * a: 1}), _LP_ONE, _reduced=True)
-    e = Fraction(2) * Fraction(a)
+    e = 2 * a
     if e.denominator != 1:
         raise ValueError("exponent must be a half-integer: %r" % (a,))
     return QRational(LaurentPoly({int(e): 1}), _LP_ONE, _reduced=True)
