@@ -12,7 +12,8 @@ for a fixed det power.
 from functools import cache
 from itertools import permutations
 
-from .scalars import LaurentPoly, QRational, ZERO, ONE, qq, _LP_ONE, _addmul
+from .scalars import LaurentPoly, QRational, ZERO, ONE, qq, fraction_sum, \
+    _addmul, _bucket_sum
 
 # letter aliases for n = 3, row-major ('i' and 'j' are reserved for indices)
 LETTERS = "abcdefghk"
@@ -86,21 +87,13 @@ def _expand(word):
 
 
 def _wrap(acc):
-    """{key: QRational} from {(key, den): v-exponent -> integer coefficient}:
-    one QRational per (key, den), normalized (with its gcd) only when den is
-    not 1, summed over den; zero sums are dropped."""
+    """{key: QRational} from {key: {den: v-exponent -> integer coefficient}},
+    one exact sum per key; zero sums are dropped."""
     out = {}
-    for (key, den), t in acc.items():
-        num = LaurentPoly(t)
-        if not num:
-            continue
-        c = QRational(num, den, _reduced=den == _LP_ONE)
-        if key in out:
-            c = out[key] + c
-            if c.is_zero():
-                del out[key]
-                continue
-        out[key] = c
+    for key, buckets in acc.items():
+        c = _bucket_sum(buckets)
+        if c:
+            out[key] = c
     return out
 
 
@@ -116,7 +109,8 @@ def _normal_order(pieces):
         if det < 0:
             raise ValueError("det power must be >= 0")
         for cw, cc in _expand(tuple(factors)).items():
-            _addmul(acc.setdefault(((cw, det), c.den), {}), c.num, cc)
+            _addmul(acc.setdefault((cw, det), {}).setdefault(c.den, {}),
+                    c.num, cc)
     return _wrap(acc)
 
 
@@ -297,17 +291,15 @@ def comultiply(x):
             for cl, ccl in _expand(lf).items():
                 c = coeff.num * ccl
                 for cr, ccr in right.items():
-                    key = (((cl, det), (cr, det)), coeff.den)
-                    _addmul(acc.setdefault(key, {}), c, ccr)
+                    key = ((cl, det), (cr, det))
+                    _addmul(acc.setdefault(key, {}).setdefault(coeff.den, {}),
+                            c, ccr)
     return TensorElement(n, _wrap(acc))
 
 
 def counit(x):
-    total = ZERO
-    for (factors, _det), coeff in x.terms.items():
-        if all(i == j for (i, j) in factors):
-            total = total + coeff
-    return total
+    return fraction_sum(coeff for (factors, _det), coeff in x.terms.items()
+                        if all(i == j for (i, j) in factors))
 
 
 def quantum_minor(n, I, J):
@@ -392,19 +384,16 @@ def apply_morphism(x, which):
     """gamma: diagonal flip homomorphism; omega: double flip anti-homomorphism;
     rho: the modular automorphism (diagonal rescaling)."""
     n = x.n
-    t = {}
+    # both flips map distinct words to distinct words: no terms to add
     if which == "gamma":
-        for (factors, det), c in x.terms.items():
-            key = (tuple((j, i) for (i, j) in factors), det)
-            t[key] = t.get(key, ZERO) + c
-        return AlgebraElement(n, t)
+        return AlgebraElement(n, {(tuple((j, i) for (i, j) in factors), det): c
+                                  for (factors, det), c in x.terms.items()})
     if which == "omega":
-        for (factors, det), c in x.terms.items():
-            key = (tuple((n + 1 - i, n + 1 - j) for (i, j) in reversed(factors)),
-                   det)
-            t[key] = t.get(key, ZERO) + c
-        return AlgebraElement(n, t)
+        return AlgebraElement(n, {
+            (tuple((n + 1 - i, n + 1 - j) for (i, j) in reversed(factors)),
+             det): c for (factors, det), c in x.terms.items()})
     if which == "rho":
+        t = {}
         for (factors, det), c in x.terms.items():
             e = sum(2 * n + 2 - 2 * i - 2 * j for (i, j) in factors)
             t[(factors, det)] = c * qq(e)

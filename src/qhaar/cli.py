@@ -355,22 +355,19 @@ def _parse_at_q(text):
     return q0
 
 
-def _gram_payload(args):
-    lam = _parse_lambda(args.lam)
-    mu = _parse_triple(args.mu, "mu")
+def _closed_gram(args):
     side = ("right_comodule" if args.side == "R" else "left_comodule")
-    form = args.form
-    g = gram_matrix(lam, mu, form, side, method="closed")
-    agree = None
-    if all(v.d1 + v.d2 + v.d3 + v.c1 + v.c2 + v.c3 <= _SIZE_CAP
-           for v in g.vectors):
-        direct = gram_matrix(lam, mu, form, side, method="direct")
-        agree = direct.entries == g.entries
-    return g, agree
+    return gram_matrix(_parse_lambda(args.lam), _parse_triple(args.mu, "mu"),
+                       args.form, side, method="closed")
 
 
 def _cmd_gram(args):
-    g, agree = _gram_payload(args)
+    g = _closed_gram(args)
+    agree = None
+    if all(v.d1 + v.d2 + v.d3 + v.c1 + v.c2 + v.c3 <= _SIZE_CAP
+           for v in g.vectors):
+        direct = gram_matrix(g.lam, g.mu, g.form, g.side, method="direct")
+        agree = direct.entries == g.entries
     if args.format == "json":
         data = g.to_json_dict()
         data["methods_agree"] = agree
@@ -388,7 +385,7 @@ def _cmd_gram(args):
 
 
 def _cmd_ortho(args):
-    g, _ = _gram_payload(args)
+    g = _closed_gram(args)
     transform, norms = gram_schmidt(g)
     if args.format == "json":
         return json.dumps({

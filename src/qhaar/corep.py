@@ -16,7 +16,7 @@ as an independent check.
 
 from .algebra import (AlgebraElement, apply_morphism, quantum_minor, star)
 from .haar import haar_state
-from .scalars import ONE, ZERO, poch, q_binomial, qq
+from .scalars import ONE, ZERO, fraction_sum, poch, q_binomial, qdot, qq
 
 _Q2 = ONE - qq(2)
 _Q4 = ONE - qq(4)
@@ -232,20 +232,16 @@ def _chain_offset(vi, vj):
 def _family_a_double_sum(d1, d2, c1, c2, c3, k):
     """The double sum of the family A pair; family B's is this sum at
     (d1, c2, d3, d2, c3, k).  Terms past j = min(d1, c3) vanish."""
-    total = ZERO
+    outer, inner = [], []
     for j in range(min(d1, c3) + 1):
-        outer = (qq(j * j - j) * q_binomial(d1, j) * q_binomial(c3, j)
-                 * poch(1, j) / poch(d1 + d2 + c1 + c3 - j + 2, c2 + 1))
-        if j % 2:
-            outer = -outer
-        inner = ZERO
-        for i in range(c2 - k + 1):
-            inner = inner + (qq((2 * d1 + 2 * d2 + 2 * c3 - 2 * j + 2) * i)
-                             * poch(1, c1 + i)
-                             * poch(1, d1 + c2 + c3 - j - i)
-                             * q_binomial(c2 - k, i))
-        total = total + outer * inner
-    return total
+        o = (qq(j * j - j) * q_binomial(d1, j) * q_binomial(c3, j)
+             * poch(1, j) / poch(d1 + d2 + c1 + c3 - j + 2, c2 + 1))
+        outer.append(-o if j % 2 else o)
+        inner.append(fraction_sum(
+            qq((2 * d1 + 2 * d2 + 2 * c3 - 2 * j + 2) * i)
+            * poch(1, c1 + i) * poch(1, d1 + c2 + c3 - j - i)
+            * q_binomial(c2 - k, i) for i in range(c2 - k + 1)))
+    return qdot(zip(outer, inner))
 
 
 def _closed_pair_A(v, k):
@@ -361,20 +357,15 @@ def gram_schmidt(g):
                  for i in range(n)]
     norms = []
     for i in range(n):
-        for j in range(i):
-            # <u_j, v_i> with u_j = sum_k T[j][k] v_k
-            dot = ZERO
-            for k in range(j + 1):
-                dot = dot + transform[j][k] * entries[k][i]
-            if norms[j].is_zero():
-                raise ValueError("singular leading minor")
-            coef = dot / norms[j]
-            for k in range(j + 1):
-                transform[i][k] = transform[i][k] - coef * transform[j][k]
-        sq = ZERO
-        for k in range(i + 1):
-            for l in range(i + 1):
-                sq = sq + transform[i][k] * transform[i][l] * entries[k][l]
+        # <u_j, v_i> / <u_j, u_j>, with u_j = sum_k T[j][k] v_k
+        coef = [qdot((transform[j][k], entries[k][i]) for k in range(j + 1))
+                / norms[j] for j in range(i)]
+        for k in range(i):
+            transform[i][k] = -qdot((coef[j], transform[j][k])
+                                    for j in range(k, i))
+        # <u_i, u_i> = <u_i, v_i>: G is symmetric and u_i is orthogonal to
+        # v_0..v_{i-1}
+        sq = qdot((transform[i][k], entries[k][i]) for k in range(i + 1))
         if sq.is_zero():
             raise ValueError("singular leading minor")
         norms.append(sq)
@@ -391,9 +382,8 @@ def _rho_pairing(mu):
 
 
 def quantum_dimension(lam):
-    d = ZERO
-    for t in enumerate_ssyt(lam):
-        d = d + qq(2 * _rho_pairing(t.content()))
+    d = fraction_sum(qq(2 * _rho_pairing(t.content()))
+                     for t in enumerate_ssyt(lam))
     if d.is_zero():
         return ONE
     return d

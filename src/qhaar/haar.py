@@ -10,8 +10,8 @@ guards.
 
 from functools import cache
 
-from .scalars import LaurentPoly, QRational, ZERO, ONE, qq, q_binomial, \
-    q_multinomial, q_factorial, _LP_ONE, _addmul
+from .scalars import ZERO, ONE, qq, q_binomial, q_multinomial, q_factorial, \
+    fraction_sum, qdot
 from .algebra import counting_matrix, stochastic_order, inversions, \
     _neg_q_power
 from .linsys import build_system, solve_system, source_matrix_solve
@@ -52,12 +52,12 @@ def haar_pseudo(m, s, r, l, t):
     with n = s+r+l+t-m, in closed form."""
     check_pseudo_index(m, s, r, l, t)
     n = s + r + l + t - m
-    total = ZERO
-    for k in range(max(n - s, n - t, 0), min(r, l, n) + 1):
-        term = qq((n - k) * (n - 3 * k - 1) + 2 * k * (s + t)) * \
-            q_binomial(r, k) * q_binomial(l, k) * \
-            q_binomial(s, n - k) * q_binomial(t, n - k) / q_binomial(n, k)
-        total = total - term if k % 2 else total + term
+    total = fraction_sum(
+        (-ONE if k % 2 else ONE) *
+        qq((n - k) * (n - 3 * k - 1) + 2 * k * (s + t)) *
+        q_binomial(r, k) * q_binomial(l, k) *
+        q_binomial(s, n - k) * q_binomial(t, n - k) / q_binomial(n, k)
+        for k in range(max(n - s, n - t, 0), min(r, l, n) + 1))
     pref = qq((2 * m + 1) * (l + r) + (n - 2) * m - 2 * l * l - 2 * r * r
               - r * l + 4 * s * t - 3 * n * s - 3 * n * t) / \
         (q_multinomial(m, (n, m - l - s, m - r - t)) *
@@ -112,25 +112,9 @@ def _haar_word(n, factors, det):
 
 
 def haar_state(x):
-    """h(x) for an arbitrary element, by linearity over canonical words.
-
-    Terms whose coefficient has denominator 1 are summed as integer
-    numerators per denominator of the Haar value; only those sums and the
-    other terms are added as QRational, so gcds run once per distinct
-    denominator instead of once per term."""
-    buckets = {}
-    total = ZERO
-    for (factors, det), c in x.terms.items():
-        h = _haar_word(x.n, factors, det)
-        if h.is_zero():
-            continue
-        if c.den == _LP_ONE:
-            _addmul(buckets.setdefault(h.den, {}), c.num, h.num)
-        else:
-            total = total + c * h
-    for den, t in buckets.items():
-        total = total + QRational(LaurentPoly(t), den, _reduced=den == _LP_ONE)
-    return total
+    """h(x) for an arbitrary element, by linearity over canonical words."""
+    return qdot((c, _haar_word(x.n, factors, det))
+                for (factors, det), c in x.terms.items())
 
 
 def haar_ratio_general_n(i, idx, n):

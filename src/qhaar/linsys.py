@@ -10,7 +10,7 @@ without touching the full system.
 from itertools import permutations
 
 from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
-    _addmul, _lp_divexact, _lp_gcd
+    _addmul, _lp_divexact, _lp_lcm, qdot
 from .algebra import (counting_matrix, stochastic_order, pseudo_word,
                       quantum_determinant_power, inversions, _expand,
                       _neg_q_power)
@@ -213,34 +213,21 @@ def _eliminate(rows, unknowns):
 
 
 def _residual_gate(rows, solution, used):
-    """Checks sum_u c_u x_u = rhs exactly on every row.  With D the lcm of
-    the values' denominators, each row sums c_u * (x_u D) as integer Laurent
-    coefficients and compares with rhs * D; a coefficient whose denominator
-    is not 1 is added as a QRational.  The rows in used, which fixed the
-    pivots, go first: a failure there is a fault of the elimination, and
-    once they pass the values solve a full-rank subsystem, so a failure
-    elsewhere means the system is inconsistent."""
-    D = _LP_ONE
-    for d in {x.den for x in solution.values()}:
-        D = D * _lp_divexact(d, _lp_gcd(D, d))
-    scaled = {u: x.num * _lp_divexact(D, x.den) for u, x in solution.items()}
+    """Checks sum_u c_u x_u = rhs exactly on every row, as
+    sum_u c_u (x_u D) = rhs D with D the lcm of the values' denominators:
+    each x_u D is a Laurent polynomial, so a row of Laurent coefficients
+    sums without a gcd.  The rows in used, which fixed the pivots, go first:
+    a failure there is a fault of the elimination, and once they pass the
+    values solve a full-rank subsystem, so a failure elsewhere means the
+    system is inconsistent."""
+    D = _lp_lcm({x.den for x in solution.values()})
+    scaled = {u: QRational(x.num * _lp_divexact(D, x.den), _LP_ONE,
+                           _reduced=True) for u, x in solution.items()}
+    D = QRational(D, _LP_ONE, _reduced=True)
     first = set(used)
     for i in list(used) + [i for i in range(len(rows)) if i not in first]:
         row, rhs, tag = rows[i]
-        acc = {}
-        rest = ZERO
-        for u, c in row.items():
-            if c.den == _LP_ONE:
-                _addmul(acc, c.num, scaled[u])
-            else:
-                rest = rest + c * QRational(scaled[u], _LP_ONE, _reduced=True)
-        lhs = LaurentPoly(acc)
-        if rest.is_zero():
-            ok = lhs * rhs.den == rhs.num * D
-        else:
-            ok = (QRational(lhs, _LP_ONE, _reduced=True) + rest
-                  == rhs * QRational(D, _LP_ONE, _reduced=True))
-        if not ok:
+        if qdot((c, scaled[u]) for u, c in row.items()) != rhs * D:
             raise ValueError(
                 ("nonzero residual on row %r" if i in first else
                  "inconsistent system: nonzero residual on row %r") % (tag,))

@@ -241,6 +241,15 @@ def _lp_divexact(a, b):
     return LaurentPoly._from_dense(alo - blo, _poly_divexact(ac, bc))
 
 
+def _lp_lcm(dens):
+    """The canonical lcm in Z[v] of canonical denominators."""
+    D = _LP_ONE
+    for d in dens:
+        if d != D and d != _LP_ONE:
+            D = D * _lp_divexact(d, _lp_gcd(D, d))
+    return D
+
+
 class QRational:
     """Reduced fraction of two LaurentPoly, the universal scalar.
 
@@ -409,6 +418,48 @@ ZERO = QRational.from_int(0)
 ONE = QRational.from_int(1)
 
 
+# -- exact sums ---------------------------------------------------------
+
+
+def _bucket_sum(buckets):
+    """The sum of num/den over {den: {v-exponent: integer coefficient of
+    num}}: each numerator is brought over the lcm of the denominators and
+    the total is normalized once, so only the lcm and that one
+    normalization take a gcd."""
+    parts = [(LaurentPoly(t), den) for den, t in buckets.items()]
+    parts = [(num, den) for num, den in parts if num]
+    D = _lp_lcm(den for _, den in parts)
+    if len(parts) == 1:
+        num = parts[0][0]
+    else:
+        acc = {}
+        for num, den in parts:
+            _addmul(acc, num, _lp_divexact(D, den))
+        num = LaurentPoly(acc)
+    if not num:
+        return ZERO
+    return QRational(num, D, _reduced=D == _LP_ONE)
+
+
+def qdot(pairs):
+    """The exact sum of a * b over an iterable of QRational pairs (a, b)."""
+    buckets = {}
+    for a, b in pairs:
+        if a.den == _LP_ONE:
+            den = b.den
+        elif b.den == _LP_ONE:
+            den = a.den
+        else:
+            den = a.den * b.den
+        _addmul(buckets.setdefault(den, {}), a.num, b.num)
+    return _bucket_sum(buckets)
+
+
+def fraction_sum(parts):
+    """The exact sum of an iterable of QRational."""
+    return qdot((x, ONE) for x in parts)
+
+
 def qq(a):
     """q^a as a QRational for integer or half-integer a (a may be a
     Fraction with denominator 1 or 2)."""
@@ -432,21 +483,22 @@ def poch(a, n):
     return r
 
 
-def q_number(n, base=2):
-    """[n] in base q^base: (1 - q^{base*n})/(1 - q^base) = sum q^{base*i}."""
+def q_number(n):
+    """[n] in base q^2: (1 - q^{2n})/(1 - q^2) = sum q^{2i}."""
     if n < 0:
         raise ValueError("q_number needs n >= 0")
-    return QRational(LaurentPoly({2 * i * base: 1 for i in range(n)}), _LP_ONE,
+    return QRational(LaurentPoly({4 * i: 1 for i in range(n)}), _LP_ONE,
                      _reduced=True)
 
 
-def q_factorial(n, base=2):
+def q_factorial(n):
     r = ONE
     for i in range(2, n + 1):
-        r = r * q_number(i, base)
+        r = r * q_number(i)
     return r
 
 
+@cache
 def q_binomial(n, k):
     """Gaussian binomial {n choose k} in base q^2; 0 when out of range."""
     if k < 0 or k > n or n < 0:
@@ -455,12 +507,13 @@ def q_binomial(n, k):
 
 
 def q_multinomial(m, parts):
-    """{m choose parts} in base q^2; 0 when parts are out of range."""
+    """{m choose parts} in base q^2, a product of memoized q-binomials; 0
+    when parts are out of range."""
     if m < 0 or any(p < 0 for p in parts) or sum(parts) != m:
         return ZERO
-    r = poch(1, m)
-    for p in parts:
-        r = r / poch(1, p)
+    r = ONE
+    for i, p in enumerate(parts):
+        r = r * q_binomial(sum(parts[:i + 1]), p)
     return r
 
 

@@ -140,6 +140,19 @@ def test_ortho_at_q():
     assert "norm^2" in out.splitlines()[0]
 
 
+def test_ortho_builds_no_direct_gram(monkeypatch):
+    import qhaar.corep
+
+    def refuse(*args):
+        raise AssertionError("ortho computed a direct Gram entry")
+
+    monkeypatch.setattr(qhaar.corep, "gram_entry_direct", refuse)
+    code, out = run(["ortho", "--lambda", "2,1,0", "--mu", "1,1,1",
+                     "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)["norms_sq"]) == 2
+
+
 def test_dim_solve_source():
     code, out = run(["dim", "--lambda", "2,1,0"])
     assert code == 0 and out.strip() == "q^4 + 2*q^2 + 2 + 2*q^-2 + q^-4"

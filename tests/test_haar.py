@@ -125,9 +125,15 @@ def test_haar_state_matches_termwise_sum():
     cancel = p - apply_morphism(p, "gamma")
     assert not cancel.is_zero()
     mixed = scaled + cancel.scale(qq(3))
+    # a different denominator on every other term, against Haar values that
+    # have their own: the products' denominators are not 1 on either side
+    varied = E(3, {w: c / (ONE + qq(k)) if k % 2 else c
+                   for k, (w, c) in enumerate(p.terms.items())},
+               canonical=True)
+    assert len({c.den for c in varied.terms.values()}) > 2
     # six terms over [3]!, whose sum [3]!/[3]! must reduce to 1
     unit = quantum_determinant(3) * E.det_inv(3)
-    for x in (p, scaled, cancel, mixed, unit):
+    for x in (p, scaled, cancel, mixed, varied, unit):
         assert haar_state(x) == _termwise_haar(x)
     assert haar_state(p) != ZERO
     assert haar_state(cancel) == ZERO
