@@ -14,7 +14,7 @@ from .haar import (haar_ref, haar_ref_recursive, haar_pseudo, haar_order1,
                    haar_state, haar_ratio_general_n)
 from .linsys import (enumerate_Bnm, detq_power_expand, build_system,
                      solve_system, source_matrix_solve, HaarLinearSystem,
-                     FeasibilityError)
+                     FeasibilityError, VerificationError)
 from .corep import (Tableau, BasisVector, GramMatrix, EmptyWeightSpaceError,
                     enumerate_ssyt, tableau_to_vector, vector_to_element,
                     weight_space, contents, gram_entry_closed,
@@ -37,6 +37,7 @@ __all__ = [
     "haar_state", "haar_ratio_general_n",
     "enumerate_Bnm", "detq_power_expand", "build_system", "solve_system",
     "source_matrix_solve", "HaarLinearSystem", "FeasibilityError",
+    "VerificationError",
     "Tableau", "BasisVector", "GramMatrix", "EmptyWeightSpaceError",
     "enumerate_ssyt", "tableau_to_vector", "vector_to_element",
     "weight_space", "contents",

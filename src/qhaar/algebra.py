@@ -9,11 +9,12 @@ it is always expanded into generator words, so a canonical form is unique
 for a fixed det power.
 """
 
+from bisect import bisect_right
 from functools import cache
 from itertools import permutations
 
 from .scalars import LaurentPoly, QRational, ZERO, ONE, qq, fraction_sum, \
-    _addmul, _bucket_sum
+    _LP_ONE, _addmul, _bucket_sum
 
 # letter aliases for n = 3, row-major ('i' and 'j' are reserved for indices)
 LETTERS = "abcdefghk"
@@ -35,55 +36,79 @@ def _neg_q_power(e):
 
 # ---------------------------------------------------------------------
 # the rewriting engine
+#
+# Normal forms are built one letter at a time: for a canonical word t and a
+# generator g, t g = low (high g), where low holds the letters of t that are
+# <= g and high the rest, and only high g needs rewriting.  No switching rule
+# produces a letter outside the range of the pair it rewrites, so every word
+# of nf(high g) has letters >= g and low stays in front.
 
 
-def _bubble(w, e, extras):
-    """Sort the generator list w in place by adjacent switches.  The scalar
-    picked up so far is v^e; each same-row or same-column switch of a
-    descending pair multiplies it by q^{-1} = v^{-2}.  The extra words spawned
-    by the two-sided switching rule go into extras as (word, e), standing for
-    v^e * (q^{-1} - q) * word."""
-    p = 0
-    while p < len(w) - 1:
-        g1, g2 = w[p], w[p + 1]
-        if g1 <= g2:
-            p += 1
-            continue
-        i1, j1 = g1
-        i2, j2 = g2
+def _polys(acc):
+    """{word: LaurentPoly} from {word: {v-exponent: integer}}, dropping
+    words whose coefficients cancel."""
+    out = {}
+    for w, t in acc.items():
+        c = LaurentPoly(t)
+        if c:
+            out[w] = c
+    return out
+
+
+@cache
+def _insert(high, g):
+    """nf(high g) for a canonical word high, possibly empty, whose letters
+    all exceed the generator g: dict canonical word -> LaurentPoly.
+
+    g bubbles leftwards through high.  Passing a letter in its row or column
+    multiplies by q^{-1} = v^{-2}; passing an anti-diagonal letter is free;
+    passing h = high[p] = (i1, j1) strictly below and right of g = (i2, j2),
+    i.e. i1 > i2 and j1 > j2, also splits off
+    v^e (q^{-1} - q) nf(high[:p] (i2, j1) (i1, j2)) high[p + 1:].  That
+    normal form has no letter above h, so the suffix stays in place."""
+    i2, j2 = g
+    e = 0
+    acc = {}
+    for p in range(len(high) - 1, -1, -1):
+        i1, j1 = high[p]
         if i1 == i2 or j1 == j2:
             e -= 2
         elif j1 > j2:
-            # strictly descending in both indices: splits off an extra word
-            extras.append((w[:p] + [(i2, j1), (i1, j2)] + w[p + 2:], e))
-        w[p], w[p + 1] = g2, g1
-        if p:
-            p -= 1
-    return tuple(w), e
+            # v^e (q^{-1} - q) = v^(e - 2) - v^(e + 2)
+            f = LaurentPoly({e - 2: 1, e + 2: -1})
+            suffix = high[p + 1:]
+            for w, c in _fold(high[:p], ((i2, j1), (i1, j2))).items():
+                _addmul(acc.setdefault(w + suffix, {}), f, c)
+    t = acc.setdefault((g,) + high, {})
+    t[e] = t.get(e, 0) + 1
+    return _polys(acc)
+
+
+def _fold(start, letters):
+    """nf(start letters) for a canonical word start, inserting the letters
+    one at a time: dict canonical word -> LaurentPoly."""
+    terms = {start: _LP_ONE}
+    for g in letters:
+        acc = {}
+        for t, c in terms.items():
+            s = bisect_right(t, g)
+            low = t[:s]
+            for w, c2 in _insert(t[s:], g).items():
+                _addmul(acc.setdefault(low + w, {}), c, c2)
+        terms = _polys(acc)
+    return terms
 
 
 @cache
 def _expand(word):
     """Canonical expansion of a generator tuple: dict canonical word ->
-    LaurentPoly (every rewriting coefficient has denominator 1).  The result
-    is shared between callers and must not be mutated."""
-    extras = []
-    canon, e = _bubble(list(word), 0, extras)
-    acc = {canon: {e: 1}}
-    for w2, e2 in extras:
-        # v^e2 * (q^{-1} - q) = v^(e2 - 2) - v^(e2 + 2)
-        lo, hi = e2 - 2, e2 + 2
-        for cw, cc in _expand(tuple(w2)).items():
-            t = acc.setdefault(cw, {})
-            for k, c in cc.terms.items():
-                t[k + lo] = t.get(k + lo, 0) + c
-                t[k + hi] = t.get(k + hi, 0) - c
-    out = {}
-    for cw, t in acc.items():
-        c = LaurentPoly(t)
-        if c:
-            out[cw] = c
-    return out
+    LaurentPoly (every rewriting coefficient has denominator 1), folding the
+    letters after the longest sorted prefix into it one at a time.  The
+    result is shared between callers and must not be mutated."""
+    s = 1
+    while s < len(word) and word[s - 1] <= word[s]:
+        s += 1
+    return _fold(word[:s], word[s:])
 
 
 def _wrap(acc):

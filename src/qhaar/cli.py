@@ -24,8 +24,8 @@ from .algebra import (GEN_TO_LETTER, LETTER_TO_GEN, AlgebraElement,
 from .corep import (_SIZE_CAP, EmptyWeightSpaceError, gram_matrix,
                     gram_schmidt, quantum_dimension)
 from .haar import _pseudo_index_from_theta, haar_pseudo, haar_state
-from .linsys import (FeasibilityError, build_system, enumerate_Bnm,
-                     solve_system, source_matrix_solve)
+from .linsys import (FeasibilityError, VerificationError, build_system,
+                     enumerate_Bnm, solve_system, source_matrix_solve)
 from .scalars import QRational, evaluate_numeric, qq
 from .verify import check_S_sum, check_paper_computations, check_prop_5_3
 
@@ -34,6 +34,7 @@ EXIT_PARSE = 2
 EXIT_FEASIBILITY = 3
 EXIT_EMPTY_WEIGHT = 4
 EXIT_RESIDUAL = 5
+EXIT_USAGE = 6
 
 
 class ParseError(Exception):
@@ -499,7 +500,9 @@ def run_command(argv, stdout=None):
             return EXIT_FEASIBILITY
         if isinstance(e, EmptyWeightSpaceError):
             return EXIT_EMPTY_WEIGHT
-        return EXIT_RESIDUAL
+        if isinstance(e, VerificationError):
+            return EXIT_RESIDUAL
+        return EXIT_USAGE
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")

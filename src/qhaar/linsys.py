@@ -24,6 +24,11 @@ class FeasibilityError(ValueError):
     """The rank and order exceed the solvability guard."""
 
 
+class VerificationError(ValueError):
+    """A solved system failed its exact check: a row with nonzero residual,
+    an inconsistent system, or one whose rank is deficient."""
+
+
 def _check_feasible(n, m, bounds, override=False):
     if override:
         return
@@ -86,37 +91,53 @@ def _comultiply_filtered(n, m, factors):
     both order-m words, with incremental pruning on the right-leg row sums.
     Returns a dict L -> {K: coefficient}, keyed by the legs' counting
     matrices (a canonical word is the pseudo-basis word of its matrix)."""
-    # every coefficient is a rewriting polynomial: LaurentPoly until out
-    legs = {((), ()): _LP_ONE}
+    # every coefficient is a rewriting polynomial: LaurentPoly until out.
+    # Rewriting keeps each row's letter count, so a leg carries the row
+    # counts of its right word.
+    legs = {((), ()): (_LP_ONE, (0,) * n)}
     for (i, j) in factors:
         nxt = {}
-        for (lf, rf), c in legs.items():
-            for k in range(1, n + 1):
-                if sum(1 for (r, _) in rf if r == k) >= m:
+        for (lf, rf), (c, rows) in legs.items():
+            for k in range(n):
+                if rows[k] >= m:
                     continue
-                right = _expand(rf + ((k, j),))
-                for cl, ccl in _expand(lf + ((i, k),)).items():
+                bumped = rows[:k] + (rows[k] + 1,) + rows[k + 1:]
+                right = _expand(rf + ((k + 1, j),))
+                for cl, ccl in _expand(lf + ((i, k + 1),)).items():
                     cc = c * ccl
                     for cr, ccr in right.items():
-                        _addmul(nxt.setdefault((cl, cr), {}), cc, ccr)
+                        entry = nxt.get((cl, cr))
+                        if entry is None:
+                            entry = nxt[(cl, cr)] = ({}, bumped)
+                        _addmul(entry[0], cc, ccr)
         legs = {}
-        for key, t in nxt.items():
+        for key, (t, rows) in nxt.items():
             c = LaurentPoly(t)
             if c:
-                legs[key] = c
+                legs[key] = (c, rows)
     alpha = [sum(r) for r in counting_matrix(n, factors)]
     beta = [sum(c) for c in zip(*counting_matrix(n, factors))]
+    # one counting matrix per distinct canonical leg word, checked once;
+    # None marks a right word that is not of order m.  Both matrices of a
+    # kept pair are of order m, so the left column sums equal the right row
+    # sums.
+    lefts, rights = {}, {}
     out = {}
-    for (lf, rf), c in legs.items():
-        tr = counting_matrix(n, rf)
-        if stochastic_order(tr) != m:
+    for (lf, rf), (c, _rows) in legs.items():
+        if rf not in rights:
+            tr = counting_matrix(n, rf)
+            keep = stochastic_order(tr) == m
+            assert not keep or [sum(col) for col in zip(*tr)] == beta
+            rights[rf] = tr if keep else None
+        tr = rights[rf]
+        if tr is None:
             continue
-        tl = counting_matrix(n, lf)
-        assert stochastic_order(tl) == m
-        assert [sum(r) for r in tl] == alpha
-        assert [sum(col) for col in zip(*tl)] == [sum(r) for r in tr]
-        assert [sum(col) for col in zip(*tr)] == beta
-        out.setdefault(tl, {})[tr] = QRational(c, _LP_ONE, _reduced=True)
+        if lf not in lefts:
+            tl = lefts[lf] = counting_matrix(n, lf)
+            assert stochastic_order(tl) == m
+            assert [sum(r) for r in tl] == alpha
+        out.setdefault(lefts[lf], {})[tr] = QRational(c, _LP_ONE,
+                                                      _reduced=True)
     return out
 
 
@@ -189,7 +210,7 @@ def _eliminate(rows, unknowns):
             rhs = rhs - f * pivots[u][1]
         if not row:
             if not rhs.is_zero():
-                raise ValueError(
+                raise VerificationError(
                     "inconsistent system: nonzero residual on row %r" % (tag,))
             continue
         u = min(row)
@@ -205,8 +226,8 @@ def _eliminate(rows, unknowns):
         free.discard(u)
         used.append(i)
     if free:
-        raise ValueError("rank deficient system: %d unknowns undetermined"
-                         % len(free))
+        raise VerificationError(
+            "rank deficient system: %d unknowns undetermined" % len(free))
     solution = {u: pivots[u][1] for u in unknowns}
     _residual_gate(rows, solution, used)
     return solution
@@ -228,7 +249,7 @@ def _residual_gate(rows, solution, used):
     for i in list(used) + [i for i in range(len(rows)) if i not in first]:
         row, rhs, tag = rows[i]
         if qdot((c, scaled[u]) for u, c in row.items()) != rhs * D:
-            raise ValueError(
+            raise VerificationError(
                 ("nonzero residual on row %r" if i in first else
                  "inconsistent system: nonzero residual on row %r") % (tag,))
 

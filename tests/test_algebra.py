@@ -1,4 +1,6 @@
+import hashlib
 import random
+import sys
 
 import pytest
 
@@ -9,8 +11,9 @@ from qhaar.algebra import (
     quantum_minor, quantum_determinant, quantum_determinant_power, antipode,
     star, minor_star, apply_morphism, counting_matrix, stochastic_order,
     is_order_m, pseudo_word, lift_det, equal_mod_det, inversions,
-    LETTER_TO_GEN, _expand, _neg_q_power, _complement,
+    LETTER_TO_GEN, _expand, _insert, _neg_q_power, _complement,
 )
+from qhaar.linsys import enumerate_Bnm
 
 E = AlgebraElement
 
@@ -75,6 +78,52 @@ def test_diagonal_word_expansion():
     assert len(got) == 55
     assert {w: QRational(c) for w, c in got.items()} == \
         _slow_expand(word, random.Random(3))
+
+
+def test_diagonal_word_k6():
+    # x33^6 x22^6 x11^6 from empty memos: one term per 6-doubly-stochastic
+    # matrix, diagonal-word coefficients summing to the counit value 1, and
+    # the terms' digest as recorded from an independent rewriter that
+    # bubbles whole words and re-expands every extra word
+    _expand.cache_clear()
+    _insert.cache_clear()
+    word = ((3, 3),) * 6 + ((2, 2),) * 6 + ((1, 1),) * 6
+    got = _expand(word)
+    assert len(got) == len(enumerate_Bnm(3, 6)) == 406
+    assert counit(E(3, {(w, 0): QRational(c) for w, c in got.items()},
+                    canonical=True)) == ONE
+    rows = sorted((w, sorted(c.terms.items())) for w, c in got.items())
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "4dd12a558fa8ae11b12090bd026b8dd8577e39ab06de9aaa306b6a539ce4f9ba"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_canonical_products_random(n):
+    # the shape AlgebraElement.__mul__ feeds: two canonical words in a row
+    rng = random.Random(20261018 + n)
+    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for _ in range(40):
+        w1 = tuple(sorted(rng.choice(gens) for _ in range(rng.randint(1, 5))))
+        w2 = tuple(sorted(rng.choice(gens) for _ in range(rng.randint(1, 5))))
+        assert {w: QRational(c) for w, c in _expand(w1 + w2).items()} == \
+            _slow_expand(w1 + w2, rng)
+
+
+def test_long_word_without_deep_recursion():
+    # x13^N x22 x11 = q^-N x11 x13^N x22 + (q^-1 - q) q^-N x12 x13^N x21:
+    # one extra word, but N switches of x11 and of x12, N above the limit
+    k = 1500
+    word = ((1, 3),) * k + ((2, 2), (1, 1))
+    expected = E(3, {(((1, 1),) + ((1, 3),) * k + ((2, 2),), 0): qq(-k),
+                     (((1, 2),) + ((1, 3),) * k + ((2, 1),), 0):
+                     (qq(-1) - qq(1)) * qq(-k)}, canonical=True)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = E.word(3, word)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
 
 
 def test_coefficient_types():

@@ -4,8 +4,10 @@ import json
 import pytest
 
 from qhaar.algebra import AlgebraElement, star
+from qhaar import cli
 from qhaar.cli import (ParseError, ast_to_element, ast_to_str, parse,
                        run_command)
+from qhaar.linsys import VerificationError
 from qhaar.haar import haar_state
 from qhaar.scalars import qq
 
@@ -182,9 +184,24 @@ def test_exit_codes():
     assert run(["nonsense"])[0] == 2
     assert run(["eval", "a", "--at-q", "0"])[0] == 2
     assert run(["gram", "--lambda", "1,2,0", "--mu", "1,1,1"])[0] == 2
+    # a library ValueError that is no verification failure
+    assert run(["source", "--n", "1", "--m", "1"])[0] == 6
     # gram reads no rank: rank 3 is fixed, so --n is not an option
     assert run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1", "--n", "4"])[0] \
         == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (VerificationError("rank deficient system: 1 unknowns undetermined"), 5),
+    (ValueError("inconsistent system: nonzero residual on row 'x'"), 6),
+])
+def test_exit_code_follows_error_type(monkeypatch, error, code):
+    # the exit code comes from the type; the message text plays no part
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "source_matrix_solve", fail)
+    assert run(["source", "--n", "3", "--m", "1"])[0] == code
 
 
 def test_deep_nesting():

@@ -181,6 +181,7 @@ def test_import_fills_no_cache():
         "print({k: f.cache_info().currsize "
         "for k, f in package_caches().items()})"])))
     assert sizes["qhaar.algebra._expand"] == 0
+    assert sizes["qhaar.algebra._insert"] == 0
     assert sizes["qhaar.algebra.quantum_determinant_power"] == 0
     assert set(sizes.values()) == {0}
 

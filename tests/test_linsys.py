@@ -5,11 +5,12 @@ import pytest
 
 from qhaar.scalars import QRational, ZERO, ONE, qq
 from qhaar.algebra import (AlgebraElement, pseudo_word, counting_matrix,
-                           stochastic_order, quantum_determinant, inversions)
+                           stochastic_order, quantum_determinant, inversions,
+                           comultiply)
 from qhaar.haar import haar_ref, haar_order1, haar_pseudo, haar_state
 from qhaar.linsys import (enumerate_Bnm, detq_power_expand, build_system,
                           solve_system, source_matrix_solve, _eliminate,
-                          _comultiply_filtered)
+                          _comultiply_filtered, VerificationError)
 from qhaar import haar, linsys
 
 E = AlgebraElement
@@ -145,6 +146,19 @@ def test_rows_and_values_are_qrational():
                       QRational)
 
 
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+def test_comultiply_filtered_matches_coproduct(n, m):
+    # the pruned coproduct keeps exactly the terms of the full one whose
+    # legs are both of order m
+    for M in enumerate_Bnm(n, m)[::3]:
+        want = {}
+        for ((lf, _), (rf, _)), c in comultiply(E.word(n, pseudo_word(M))):
+            tl, tr = counting_matrix(n, lf), counting_matrix(n, rf)
+            if stochastic_order(tl) == m and stochastic_order(tr) == m:
+                want.setdefault(tl, {})[tr] = c
+        assert _comultiply_filtered(n, m, pseudo_word(M)) == want
+
+
 def test_feasibility_guard():
     with pytest.raises(ValueError):
         build_system(3, 4)
@@ -162,13 +176,13 @@ def test_feasibility_guard():
 def test_eliminate_rank_deficient():
     rows = [({"x": ONE, "y": ONE}, ONE, "sum"),
             ({"x": qq(1), "y": qq(1)}, qq(1), "scaled sum")]
-    with pytest.raises(ValueError, match="rank deficient"):
+    with pytest.raises(VerificationError, match="rank deficient"):
         _eliminate(rows, ["x", "y"])
 
 
 def test_eliminate_inconsistent():
     rows = [({"x": ONE}, ONE, "x = 1"), ({"x": qq(1)}, ONE, "q x = 1")]
-    with pytest.raises(ValueError, match="inconsistent"):
+    with pytest.raises(VerificationError, match="inconsistent"):
         _eliminate(rows, ["x"])
 
 
@@ -176,7 +190,8 @@ def test_eliminate_residual_gate(monkeypatch):
     # a faulty pivot normalization yields x = 2; the residual check on the
     # original rows must reject it
     monkeypatch.setattr(linsys, "ONE", QRational.from_int(2))
-    with pytest.raises(ValueError, match="^nonzero residual on row 'x = 1'$"):
+    with pytest.raises(VerificationError,
+                       match="^nonzero residual on row 'x = 1'$"):
         _eliminate([({"x": ONE}, ONE, "x = 1")], ["x"])
 
 
@@ -205,8 +220,8 @@ def test_eliminate_inconsistent_after_full_rank():
     third = ONE / QRational.from_int(3)
     assert _eliminate(rows[1:], ["x", "y", "z"]) == \
         {"x": third, "y": third, "z": third}
-    with pytest.raises(ValueError, match="^inconsistent system: nonzero "
-                       "residual on row 'x \\+ y \\+ q z = 0'$"):
+    with pytest.raises(VerificationError, match="^inconsistent system: "
+                       "nonzero residual on row 'x \\+ y \\+ q z = 0'$"):
         _eliminate(rows, ["x", "y", "z"])
 
 
@@ -222,14 +237,15 @@ def test_residual_gate_checks_rows_never_pivoted(monkeypatch):
         bad = dict(solution)
         u = max(bad)
         bad[u] = bad[u] + ONE
-        with pytest.raises(ValueError, match="^nonzero residual on row"):
+        with pytest.raises(VerificationError,
+                           match="^nonzero residual on row"):
             gate(rows, bad, used)
         gate([row for i, row in enumerate(rows) if i not in set(used)],
              bad, ())
 
     monkeypatch.setattr(linsys, "_residual_gate", corrupted)
-    with pytest.raises(ValueError, match="^inconsistent system: nonzero "
-                       "residual on row \\('invariance'") as err:
+    with pytest.raises(VerificationError, match="^inconsistent system: "
+                       "nonzero residual on row \\('invariance'") as err:
         solve_system(system)
     assert len(pivot_tags) == len(system.unknowns)
     assert not any(str(err.value).endswith(repr(t)) for t in pivot_tags)
@@ -243,7 +259,7 @@ def test_eliminate_non_unit_denominators():
             ({"x": inv, "y": -inv}, ZERO, "(x - y)/(1 - q^2) = 0")]
     x = (ONE - qq(2)) / (QRational.from_int(2) - qq(2))
     assert _eliminate(rows, ["x", "y"]) == {"x": x, "y": x}
-    with pytest.raises(ValueError, match="^inconsistent system"):
+    with pytest.raises(VerificationError, match="^inconsistent system"):
         _eliminate(rows + [({"x": inv, "y": inv}, ZERO, "bad")], ["x", "y"])
     # a right-hand side 1/(1 - q^2), as the Source scheme's normalization
     # row passes the previous order's value
