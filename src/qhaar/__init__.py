@@ -15,11 +15,10 @@ from .haar import (haar_ref, haar_ref_recursive, haar_pseudo, haar_order1,
 from .linsys import (enumerate_Bnm, detq_power_expand, build_system,
                      solve_system, source_matrix_solve, HaarLinearSystem,
                      FeasibilityError, VerificationError)
-from .corep import (Tableau, BasisVector, GramMatrix, EmptyWeightSpaceError,
-                    enumerate_ssyt, tableau_to_vector, vector_to_element,
-                    weight_space, contents, gram_entry_closed,
-                    gram_entry_direct, gram_matrix, gram_schmidt,
-                    quantum_dimension, matrix_coeff_norm)
+from .corep import (BasisVector, GramMatrix, EmptyWeightSpaceError,
+                    vector_to_element, weight_space, contents,
+                    gram_entry_closed, gram_entry_direct, gram_matrix,
+                    gram_schmidt, quantum_dimension, matrix_coeff_norm)
 from .verify import (IdentityReport, check_S_sum, check_prop_5_3,
                      check_paper_computations)
 
@@ -38,9 +37,8 @@ __all__ = [
     "enumerate_Bnm", "detq_power_expand", "build_system", "solve_system",
     "source_matrix_solve", "HaarLinearSystem", "FeasibilityError",
     "VerificationError",
-    "Tableau", "BasisVector", "GramMatrix", "EmptyWeightSpaceError",
-    "enumerate_ssyt", "tableau_to_vector", "vector_to_element",
-    "weight_space", "contents",
+    "BasisVector", "GramMatrix", "EmptyWeightSpaceError",
+    "vector_to_element", "weight_space", "contents",
     "gram_entry_closed", "gram_entry_direct", "gram_matrix",
     "gram_schmidt", "quantum_dimension", "matrix_coeff_norm",
     "IdentityReport", "check_S_sum", "check_prop_5_3",

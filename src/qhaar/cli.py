@@ -365,8 +365,7 @@ def _closed_gram(args):
 def _cmd_gram(args):
     g = _closed_gram(args)
     agree = None
-    if all(v.d1 + v.d2 + v.d3 + v.c1 + v.c2 + v.c3 <= _SIZE_CAP
-           for v in g.vectors):
+    if all(v.shape()[0] <= _SIZE_CAP for v in g.vectors):
         direct = gram_matrix(g.lam, g.mu, g.form, g.side, method="direct")
         agree = direct.entries == g.entries
     if args.format == "json":

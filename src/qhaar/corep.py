@@ -1,17 +1,22 @@
-"""Irreducible corepresentations at rank 3: tableaux, basis vectors, and
-Gram matrices.
+"""Irreducible corepresentations at rank 3: basis vectors and Gram
+matrices.
 
 A dominant weight (l1 >= l2 >= l3) is normalized to (l1-l3, l2-l3, 0); the
-dropped det power never affects inner products.  Basis vectors of a weight
-space come in two families,
+dropped det power never affects inner products.  A basis vector is a
+semistandard tableau of that shape, stored as its column counts: d1, d2,
+d3 columns (1,2), (1,3), (2,3) and c1, c2, c3 single boxes 1, 2, 3.
+They come in two families,
 
     A:  (k*)^d1 (-q h*)^d2 a^c1 b^c2 c^c3 D_q^(d1+d2)          (d3 = 0)
     B:  (k*)^d1 (-q h*)^d2 (q^2 g*)^d3 b^c2 c^c3 D_q^(d1+..)   (c1 = 0)
 
-and a weight space is a single chain v_0, v_1, ... where each step trades
-(d2, c2) for (d1, c3).  Inner products have closed hypergeometric forms;
-gram_entry_direct recomputes them through the rewriter and the Haar state
-as an independent check.
+The tableaux of content mu have first row 1^mu1 2^(mu2-d1) 3^(mu3-l2+d1)
+and second row 2^d1 3^(l2-d1), so a weight space is the closed chain
+v_0, v_1, ... over d1 = max(0, l2-mu3) .. min(l2, mu1, mu2, mu1+mu2-l2),
+with d3 = max(0, l2-mu1) and c1 = max(0, mu1-l2) fixed along it: each step
+trades (d2, c2) for (d1, c3).  Inner products have closed hypergeometric
+forms; gram_entry_direct recomputes them through the rewriter and the Haar
+state as an independent check.
 """
 
 from .algebra import (AlgebraElement, apply_morphism, quantum_minor, star)
@@ -34,90 +39,16 @@ def normalize_weight(lam):
 
 
 # ---------------------------------------------------------------------
-# tableaux
-
-
-class Tableau:
-    """A semistandard filling of a two-row shape with labels 1..3."""
-
-    __slots__ = ("shape", "rows", "det_shift")
-
-    def __init__(self, shape, rows, det_shift=0):
-        (l1, l2, _), shift = normalize_weight(shape)
-        r1, r2 = (tuple(rows[0]), tuple(rows[1]) if len(rows) > 1 else ())
-        if len(r1) != l1 or len(r2) != l2:
-            raise ValueError("row lengths do not match the shape")
-        for row in (r1, r2):
-            if any(not 1 <= x <= 3 for x in row):
-                raise ValueError("labels must lie in 1..3")
-            if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-                raise ValueError("rows must weakly increase")
-        if any(r1[i] >= r2[i] for i in range(len(r2))):
-            raise ValueError("columns must strictly increase")
-        object.__setattr__(self, "shape", (l1, l2, 0))
-        object.__setattr__(self, "rows", (r1, r2))
-        object.__setattr__(self, "det_shift", det_shift + shift)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Tableau is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Tableau) and self.shape == other.shape
-                and self.rows == other.rows
-                and self.det_shift == other.det_shift)
-
-    def __hash__(self):
-        return hash((self.shape, self.rows, self.det_shift))
-
-    def content(self):
-        counts = [0, 0, 0]
-        for row in self.rows:
-            for x in row:
-                counts[x - 1] += 1
-        return tuple(counts)
-
-    def __repr__(self):
-        return "Tableau(%r, %r)" % (self.shape, self.rows)
-
-
-def enumerate_ssyt(lam):
-    """All semistandard tableaux of the (normalized) shape, sorted by
-    content and then by chain position."""
-    (l1, l2, _), shift = normalize_weight(lam)
-    out = []
-
-    def fill_row2(r1, r2):
-        pos = len(r2)
-        if pos == l2:
-            out.append(Tableau((l1, l2, 0), (r1, r2), det_shift=shift))
-            return
-        lo = max(r1[pos] + 1, r2[-1] if r2 else 1)
-        for x in range(lo, 4):
-            fill_row2(r1, r2 + (x,))
-
-    def fill_row1(r1):
-        if len(r1) == l1:
-            fill_row2(r1, ())
-            return
-        for x in range(r1[-1] if r1 else 1, 4):
-            fill_row1(r1 + (x,))
-
-    fill_row1(())
-    out.sort(key=lambda t: (t.content(), tableau_to_vector(t).d1))
-    return out
-
-
-# ---------------------------------------------------------------------
 # basis vectors
 
 
 class BasisVector:
-    """Exponent data of a chain vector; family A has d3 = 0, family B has
-    c1 = 0 (a semistandard filling cannot need both)."""
+    """Column counts of a tableau (see the module docstring); family A has
+    d3 = 0, family B has c1 = 0 (a semistandard filling cannot need both)."""
 
-    __slots__ = ("family", "d1", "d2", "d3", "c1", "c2", "c3", "det_shift")
+    __slots__ = ("family", "d1", "d2", "d3", "c1", "c2", "c3")
 
-    def __init__(self, family, d1, d2, d3, c1, c2, c3, det_shift=0):
+    def __init__(self, family, d1, d2, d3, c1, c2, c3):
         if family not in ("A", "B"):
             raise ValueError("family must be A or B")
         if min(d1, d2, d3, c1, c2, c3) < 0:
@@ -125,7 +56,7 @@ class BasisVector:
         if family == "A" and d3 or family == "B" and c1:
             raise ValueError("exponents do not match the family")
         for name, val in zip(self.__slots__,
-                             (family, d1, d2, d3, c1, c2, c3, det_shift)):
+                             (family, d1, d2, d3, c1, c2, c3)):
             object.__setattr__(self, name, val)
 
     def __setattr__(self, *a):
@@ -133,7 +64,7 @@ class BasisVector:
 
     def _key(self):
         return (self.family, self.d1, self.d2, self.d3, self.c1, self.c2,
-                self.c3, self.det_shift)
+                self.c3)
 
     def __eq__(self, other):
         return isinstance(other, BasisVector) and self._key() == other._key()
@@ -155,28 +86,13 @@ class BasisVector:
                 self.d2 + self.d3 + self.c3)
 
 
-def tableau_to_vector(t):
-    l1, l2 = t.shape[0], t.shape[1]
-    r1, r2 = t.rows
-    cols = {(1, 2): 0, (1, 3): 0, (2, 3): 0}
-    for i in range(l2):
-        cols[(r1[i], r2[i])] += 1
-    singles = [0, 0, 0]
-    for x in r1[l2:]:
-        singles[x - 1] += 1
-    d1, d2, d3 = cols[(1, 2)], cols[(1, 3)], cols[(2, 3)]
-    c1, c2, c3 = singles
-    family = "A" if d3 == 0 else "B"
-    return BasisVector(family, d1, d2, d3, c1, c2, c3, t.det_shift)
-
-
 _XI_COLUMN = {1: ((1, 2), (1, 2)), 2: ((1, 2), (1, 3)), 3: ((1, 2), (2, 3))}
 
 
 def vector_to_element(v, side="right"):
-    """The vector as an algebra element (det_shift ignored).  Double
-    columns contribute two-row minors, so the D_q powers cancel exactly.
-    side="left" applies the diagonal flip."""
+    """The vector as an algebra element.  Double columns contribute two-row
+    minors, so the D_q powers cancel exactly.  side="left" applies the
+    diagonal flip."""
     e = AlgebraElement.unit(3)
     for which, power in ((1, v.d1), (2, v.d2), (3, v.d3)):
         minor = quantum_minor(3, *_XI_COLUMN[which])
@@ -189,19 +105,34 @@ def vector_to_element(v, side="right"):
     return e
 
 
+def _chain_range(l2, mu):
+    """The d1 of the tableaux of content mu, second row l2 long; empty when
+    mu does not occur (a negative entry included)."""
+    m1, m2, m3 = mu
+    return range(max(0, l2 - m3), min(l2, m1, m2, m1 + m2 - l2) + 1)
+
+
 def weight_space(lam, mu):
     """Chain-ordered basis vectors of the weight space, smallest d1 first
     (v_0 carries the most single-2 boxes)."""
     (l1, l2, _), _shift = normalize_weight(lam)
     if sum(mu) != l1 + l2:
         raise EmptyWeightSpaceError("content does not match the weight")
-    return [tableau_to_vector(t) for t in enumerate_ssyt((l1, l2, 0))
-            if t.content() == tuple(mu)]
+    m1, m2, m3 = mu
+    d3, c1 = max(0, l2 - m1), max(0, m1 - l2)
+    family = "B" if d3 else "A"
+    return [BasisVector(family, d1, min(m1, l2) - d1, d3, c1, m2 - d1 - d3,
+                        m3 - l2 + d1)
+            for d1 in _chain_range(l2, mu)]
 
 
 def contents(lam):
     """The distinct contents occurring in lam, sorted."""
-    return sorted({t.content() for t in enumerate_ssyt(lam)})
+    (l1, l2, _), _shift = normalize_weight(lam)
+    n = l1 + l2
+    mus = ((m1, m2, n - m1 - m2)
+           for m1 in range(n + 1) for m2 in range(n - m1 + 1))
+    return [mu for mu in mus if _chain_range(l2, mu)]
 
 
 # ---------------------------------------------------------------------
@@ -289,7 +220,7 @@ def gram_entry_closed(vi, vj, form="L", side="right_comodule"):
 def gram_entry_direct(vi, vj, form="L", side="right_comodule"):
     """The same inner product through the rewriter and the Haar state."""
     for v in (vi, vj):
-        if v.d1 + v.d2 + v.d3 + v.c1 + v.c2 + v.c3 > _SIZE_CAP:
+        if v.shape()[0] > _SIZE_CAP:
             raise ValueError("exponent sum exceeds the direct-method cap")
     _chain_offset(vi, vj)
     which = "right" if side == "right_comodule" else "left"
@@ -382,11 +313,8 @@ def _rho_pairing(mu):
 
 
 def quantum_dimension(lam):
-    d = fraction_sum(qq(2 * _rho_pairing(t.content()))
-                     for t in enumerate_ssyt(lam))
-    if d.is_zero():
-        return ONE
-    return d
+    return fraction_sum(len(weight_space(lam, mu)) * qq(2 * _rho_pairing(mu))
+                        for mu in contents(lam))
 
 
 def matrix_coeff_norm(lam, weight_i, weight_j):

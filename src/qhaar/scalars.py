@@ -118,9 +118,19 @@ class LaurentPoly:
         return LaurentPoly({lo + i: c for i, c in enumerate(coeffs) if c})
 
     def evaluate(self, v0):
-        """Exact value at a rational v0 > 0."""
-        return sum((Fraction(c) * Fraction(v0) ** e for e, c in self.terms.items()),
-                   Fraction(0))
+        """Exact value at a rational v0 = a/b > 0: the integer
+        N = sum c_e a^(e-lo) b^(hi-e) by Horner's rule, then N a^lo / b^hi
+        as one Fraction."""
+        v0 = Fraction(v0)
+        a, b = v0.numerator, v0.denominator
+        lo, coeffs = self._dense()
+        hi = lo + len(coeffs) - 1
+        n, b_pow = 0, 1
+        for c in reversed(coeffs):
+            n = n * a + c * b_pow
+            b_pow *= b
+        return Fraction(n * a ** max(lo, 0) * b ** max(-hi, 0),
+                        a ** max(-lo, 0) * b ** max(hi, 0))
 
     def __str__(self):
         if not self.terms:
@@ -394,9 +404,8 @@ class QRational:
         else:
             if any(e % 2 for e in self.num.terms) or any(e % 2 for e in self.den.terms):
                 raise ValueError("sqrt(q0) is irrational and half q-powers occur")
-            half = lambda p: sum((Fraction(c) * q0 ** (e // 2)
-                                  for e, c in p.terms.items()), Fraction(0))
-            num, den = half(self.num), half(self.den)
+            num, den = (LaurentPoly({e // 2: c for e, c in p.terms.items()})
+                        .evaluate(q0) for p in (self.num, self.den))
         if den == 0:
             raise ZeroDivisionError("pole at q0 = %s" % q0)
         return num / den

@@ -1,14 +1,15 @@
 """Corepresentation bases, Gram matrices, and their closed forms."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from qhaar.algebra import AlgebraElement, equal_mod_det, star
-from qhaar.corep import (BasisVector, Tableau, contents, enumerate_ssyt,
-                         gram_entry_closed, gram_entry_direct, gram_matrix,
-                         gram_schmidt, matrix_coeff_norm, quantum_dimension,
-                         tableau_to_vector, vector_to_element, weight_space)
+from qhaar.corep import (BasisVector, contents, gram_entry_closed,
+                         gram_entry_direct, gram_matrix, gram_schmidt,
+                         matrix_coeff_norm, quantum_dimension,
+                         vector_to_element, weight_space)
 from qhaar.haar import haar_state
 from qhaar.scalars import (ONE, ZERO, evaluate_numeric, poch, q_binomial, qq)
 
@@ -20,46 +21,76 @@ def _from(text, det=0, coeff=ONE):
 
 
 # ---------------------------------------------------------------------
-# tableaux and vectors
+# basis vectors
+
+
+def _brute_force_ssyt(l1, l2):
+    """Every semistandard tableau of shape (l1, l2, 0), as (content,
+    column counts): weakly increasing rows from
+    combinations_with_replacement, kept when the columns strictly
+    increase."""
+    out = []
+    for r1 in combinations_with_replacement((1, 2, 3), l1):
+        for r2 in combinations_with_replacement((2, 3), l2):
+            if any(r1[i] >= r2[i] for i in range(l2)):
+                continue
+            cols = [(r1[i], r2[i]) for i in range(l2)]
+            d = tuple(cols.count(c) for c in ((1, 2), (1, 3), (2, 3)))
+            c = tuple(r1[l2:].count(x) for x in (1, 2, 3))
+            content = tuple((r1 + r2).count(x) for x in (1, 2, 3))
+            out.append((content, ("B" if d[2] else "A",) + d + c))
+    return out
+
+
+def test_weight_space_matches_brute_force_ssyt():
+    for l1 in range(7):
+        for l2 in range(l1 + 1):
+            ssyt = _brute_force_ssyt(l1, l2)
+            n = l1 + l2
+            for m1 in range(-2, n + 3):
+                for m2 in range(-2, n + 3 - m1):
+                    mu = (m1, m2, n - m1 - m2)
+                    # chain order: increasing d1
+                    want = sorted((key for content, key in ssyt
+                                   if content == mu), key=lambda k: k[1])
+                    vs = weight_space((l1, l2, 0), mu)
+                    got = [(v.family, v.d1, v.d2, v.d3, v.c1, v.c2, v.c3)
+                           for v in vs]
+                    assert got == want, ((l1, l2), mu)
+                    assert all(v.content() == mu and v.shape() == (l1, l2, 0)
+                               for v in vs)
+            assert contents((l1, l2, 0)) == sorted({c for c, _ in ssyt})
 
 
 def test_ssyt_counts():
-    assert len(enumerate_ssyt((1, 0, 0))) == 3
-    assert len(enumerate_ssyt((1, 1, 0))) == 3
-    assert len(enumerate_ssyt((2, 1, 0))) == 8
-    # lambda3 normalizes away, carrying only a det shift
-    assert len(enumerate_ssyt((3, 2, 1))) == 8
-    assert enumerate_ssyt((3, 2, 1))[0].det_shift == 1
-    assert len(enumerate_ssyt((0, 0, 0))) == 1
+    def dim(lam):
+        return sum(len(weight_space(lam, mu)) for mu in contents(lam))
 
-
-def test_ssyt_are_semistandard():
-    for t in enumerate_ssyt((3, 2, 0)):
-        r1, r2 = t.rows
-        assert all(r1[i] <= r1[i + 1] for i in range(len(r1) - 1))
-        assert all(r2[i] <= r2[i + 1] for i in range(len(r2) - 1))
-        assert all(r1[i] < r2[i] for i in range(len(r2)))
-
-
-def test_tableau_validation():
-    with pytest.raises(ValueError):
-        Tableau((2, 1, 0), ((2, 1), (3,)))  # row decreases
-    with pytest.raises(ValueError):
-        Tableau((2, 1, 0), ((1, 1), (1,)))  # column not strict
-    with pytest.raises(ValueError):
-        Tableau((1, 2, 0), ((1,), (2, 2)))  # bad shape
+    assert dim((1, 0, 0)) == 3
+    assert dim((1, 1, 0)) == 3
+    assert dim((2, 1, 0)) == 8
+    # lambda3 normalizes away
+    assert dim((3, 2, 1)) == 8
+    assert dim((0, 0, 0)) == 1
 
 
 def test_tableau_to_vector():
-    v = tableau_to_vector(Tableau((1, 1, 0), ((1,), (2,))))
-    assert (v.family, v.d1) == ("A", 1)
-    assert (v.d2, v.d3, v.c1, v.c2, v.c3) == (0, 0, 0, 0, 0)
-    v = tableau_to_vector(Tableau((1, 0, 0), ((2,),)))
-    assert (v.family, v.c2) == ("A", 1)
-    v = tableau_to_vector(Tableau((2, 1, 0), ((1, 3), (2,))))
-    assert (v.d1, v.c3) == (1, 1)
-    v = tableau_to_vector(Tableau((2, 1, 0), ((2, 2), (3,))))
-    assert (v.family, v.d3, v.c2) == ("B", 1, 1)
+    # rows (1), (2): one (1,2) column
+    assert weight_space((1, 1, 0), (1, 1, 0)) == \
+        [BasisVector("A", 1, 0, 0, 0, 0, 0)]
+    # row (2): one single 2
+    assert weight_space((1, 0, 0), (0, 1, 0)) == \
+        [BasisVector("A", 0, 0, 0, 0, 1, 0)]
+    # rows (1, 3), (2): the second vector of its chain
+    assert weight_space((2, 1, 0), (1, 1, 1))[1] == \
+        BasisVector("A", 1, 0, 0, 0, 0, 1)
+    # rows (2, 2), (3): a (2,3) column, so family B
+    assert weight_space((2, 1, 0), (0, 2, 1)) == \
+        [BasisVector("B", 0, 0, 1, 0, 1, 0)]
+    # a wrong sum is rejected; a right sum that does not occur is empty
+    with pytest.raises(ValueError):
+        weight_space((2, 1, 0), (1, 1, 0))
+    assert weight_space((2, 1, 0), (3, -1, 1)) == []
 
 
 def test_vector_to_element_examples():
@@ -112,12 +143,6 @@ def test_weight_space_chain():
     # one-dimensional when lambda1 = lambda2
     for mu in contents((2, 2, 0)):
         assert len(weight_space((2, 2, 0), mu)) == 1
-
-
-def test_dimension_count():
-    for lam in ((2, 1, 0), (3, 1, 0), (3, 2, 0)):
-        total = sum(len(weight_space(lam, mu)) for mu in contents(lam))
-        assert total == len(enumerate_ssyt(lam))
 
 
 # ---------------------------------------------------------------------
@@ -288,8 +313,13 @@ def test_quantum_dimension():
     assert quantum_dimension((1, 0, 0)) == d
     assert quantum_dimension((1, 1, 0)) == d
     assert quantum_dimension((0, 0, 0)) == ONE
-    # classical dimension at q = 1
-    assert evaluate_numeric(quantum_dimension((2, 1, 0)), Fraction(1)) == 8
+    # classical (Weyl) dimension at q = 1, also with lambda3 != 0
+    for l1 in range(7):
+        for l2 in range(l1 + 1):
+            weyl = (l1 - l2 + 1) * (l2 + 1) * (l1 + 2) // 2
+            for lam in ((l1, l2, 0), (l1 + 1, l2 + 1, 1)):
+                assert evaluate_numeric(quantum_dimension(lam),
+                                        Fraction(1)) == weyl
 
 
 def test_matrix_coeff_norm():

@@ -90,6 +90,25 @@ def test_evaluate_numeric():
     assert evaluate_numeric(qq(Fraction(1, 2)), Fraction(1, 4)) == Fraction(1, 2)
 
 
+def _termwise(terms, v0):
+    return sum((Fraction(c) * v0 ** e for e, c in terms.items()), Fraction(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(-9, 6), st.integers(-20, 20), max_size=6),
+       st.fractions(min_value=Fraction(1, 40), max_value=Fraction(7),
+                    max_denominator=40))
+def test_evaluate_matches_termwise_sum(terms, r):
+    terms[min([0, *terms]) - 1] = 1           # negative valuation
+    p = LaurentPoly(terms)
+    # q0 = r^2 is a square, so v = sqrt(q0) = r and half q-powers occur
+    assert evaluate_numeric(QRational(p), r * r) == _termwise(terms, r)
+    # q0 = 2 r^2 is no square: integer q-powers only, evaluated at q0
+    q0 = 2 * r * r
+    even = QRational(LaurentPoly({2 * e: c for e, c in terms.items()}))
+    assert evaluate_numeric(even, q0) == _termwise(terms, q0)
+
+
 def test_serialization_roundtrip():
     x = (ONE + qq(2)) / (ONE - qq(3))
     pairs = x.to_pairs()
