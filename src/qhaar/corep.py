@@ -19,9 +19,13 @@ forms; gram_entry_direct recomputes them through the rewriter and the Haar
 state as an independent check.
 """
 
+from functools import cache
+
 from .algebra import (AlgebraElement, apply_morphism, quantum_minor, star)
 from .haar import haar_state
-from .scalars import ONE, ZERO, fraction_sum, poch, q_binomial, qdot, qq
+from .scalars import (ONE, ZERO, QRational, _LP_ONE, _LP_ZERO, _lp_divexact,
+                      fraction_sum, over_common_denominator, poch,
+                      q_binomial, qdot, qq)
 
 _Q2 = ONE - qq(2)
 _Q4 = ONE - qq(4)
@@ -175,22 +179,33 @@ def _family_a_double_sum(d1, d2, c1, c2, c3, k):
     return qdot(zip(outer, inner))
 
 
-def _closed_pair_A(v, k):
-    d1, d2, c1, c2, c3 = v.d1, v.d2, v.c1, v.c2, v.c3
-    pre = qq(2 * d1 * d2 + 4 * d1 + 4 * d2 + 2 * c1 * c2 + 2 * c1 * c3
-             + 2 * c2 * c3 + 4 * c1 + 4 * c2 + 4 * c3 + k * (d2 + c2 - k))
-    base = (pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2)
-            / (poch(1, d1 + d2 + 1) * poch(1, c1 + c2 + c3 + 1)))
-    return base * _family_a_double_sum(d1, d2, c1, c2, c3, k)
+@cache
+def _closed_pair(v, k):
+    """<v, v_k> for the right comodule and form L, with v_k the vector k
+    steps further along v's chain; every other (form, side) is this entry
+    times a monomial (gram_entry_closed)."""
+    d1, d2, d3, c1, c2, c3 = v.d1, v.d2, v.d3, v.c1, v.c2, v.c3
+    if v.family == "A":
+        pre = qq(2 * d1 * d2 + 4 * d1 + 4 * d2 + 2 * c1 * c2 + 2 * c1 * c3
+                 + 2 * c2 * c3 + 4 * c1 + 4 * c2 + 4 * c3
+                 + k * (d2 + c2 - k))
+        den = poch(1, d1 + d2 + 1) * poch(1, c1 + c2 + c3 + 1)
+        double = _family_a_double_sum(d1, d2, c1, c2, c3, k)
+    else:
+        pre = qq(2 * d2 * d3 + 2 * d1 * d2 + 2 * d1 * d3 + 4 * d3 + 4 * d1
+                 + 4 * d2 + 2 * c2 * c3 + 4 * c2 + 4 * c3
+                 + k * (d2 + c2 - k))
+        den = poch(1, c2 + c3 + 1) * poch(1, d1 + d2 + d3 + 1)
+        double = _family_a_double_sum(d1, c2, d3, d2, c3, k)
+    base = pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2) / den
+    return base * double
 
 
-def _closed_pair_B(v, k):
-    d1, d2, d3, c2, c3 = v.d1, v.d2, v.d3, v.c2, v.c3
-    pre = qq(2 * d2 * d3 + 2 * d1 * d2 + 2 * d1 * d3 + 4 * d3 + 4 * d1
-             + 4 * d2 + 2 * c2 * c3 + 4 * c2 + 4 * c3 + k * (d2 + c2 - k))
-    base = (pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2)
-            / (poch(1, c2 + c3 + 1) * poch(1, d1 + d2 + d3 + 1)))
-    return base * _family_a_double_sum(d1, c2, d3, d2, c3, k)
+def _check_form_side(form, side):
+    if form not in ("L", "R"):
+        raise ValueError("unknown form %r" % (form,))
+    if side not in ("right_comodule", "left_comodule"):
+        raise ValueError("unknown side %r" % (side,))
 
 
 def gram_entry_closed(vi, vj, form="L", side="right_comodule"):
@@ -198,27 +213,24 @@ def gram_entry_closed(vi, vj, form="L", side="right_comodule"):
 
     form "L" is h(x* y), form "R" is h(x y*); side picks the right- or
     left-comodule chain (the latter differing by the diagonal flip).  The
-    four variants differ from the base case by weight-space constants."""
+    four variants differ from the base case by weight-space constants: the
+    monomials _rho_scale and _left_transfer are constant along a chain, so
+    the memoized base entry serves all four."""
+    _check_form_side(form, side)
     k = _chain_offset(vi, vj)
     if k < 0:
         vi, vj, k = vj, vi, -k
-    pair = _closed_pair_A if vi.family == "A" else _closed_pair_B
-    right_l = pair(vi, k)
-    if side == "right_comodule":
-        if form == "L":
-            return right_l
-        if form == "R":
-            return right_l / _rho_scale(vi)
-    elif side == "left_comodule":
-        if form == "L":
-            return _left_transfer(vi) * right_l
-        if form == "R":
-            return _left_transfer(vi) * right_l / _rho_scale(vi)
-    raise ValueError("unknown form/side")
+    entry = _closed_pair(vi, k)
+    if side == "left_comodule":
+        entry = _left_transfer(vi) * entry
+    if form == "R":
+        entry = entry / _rho_scale(vi)
+    return entry
 
 
 def gram_entry_direct(vi, vj, form="L", side="right_comodule"):
     """The same inner product through the rewriter and the Haar state."""
+    _check_form_side(form, side)
     for v in (vi, vj):
         if v.shape()[0] > _SIZE_CAP:
             raise ValueError("exponent sum exceeds the direct-method cap")
@@ -228,9 +240,7 @@ def gram_entry_direct(vi, vj, form="L", side="right_comodule"):
     y = vector_to_element(vj, which)
     if form == "L":
         return haar_state(star(x) * y)
-    if form == "R":
-        return haar_state(x * star(y))
-    raise ValueError("unknown form %r" % form)
+    return haar_state(x * star(y))
 
 
 # ---------------------------------------------------------------------
@@ -266,10 +276,13 @@ class GramMatrix:
 
 
 def gram_matrix(lam, mu, form="L", side="right_comodule", method="closed"):
+    entry = {"closed": gram_entry_closed,
+             "direct": gram_entry_direct}.get(method)
+    if entry is None:
+        raise ValueError("unknown method %r" % (method,))
     vs = weight_space(lam, mu)
     if not vs:
         raise EmptyWeightSpaceError("empty weight space")
-    entry = gram_entry_closed if method == "closed" else gram_entry_direct
     n = len(vs)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -281,25 +294,40 @@ def gram_matrix(lam, mu, form="L", side="right_comodule", method="closed"):
 def gram_schmidt(g):
     """Orthogonalize: a unit lower-triangular transform T with
     T G T^t diagonal, plus the diagonal (the squared norms).  No square
-    roots are taken, so the output basis is orthogonal, not orthonormal."""
+    roots are taken, so the output basis is orthogonal, not orthonormal.
+
+    Fraction-free (Bareiss 1968): G = N / D over one common denominator,
+    then Bareiss elimination on [N | I], where every division is exact.
+    Row i ends as Delta_i times row i of [U | T], with Delta_i the i-th
+    leading principal minor of N (Delta_0 = 1), so its pivot is
+    Delta_(i+1), T[i] is its right half over Delta_i, and the i-th norm is
+    Delta_(i+1) / (Delta_i D).  Each output entry is one reduction."""
     entries = g.entries if isinstance(g, GramMatrix) else g
     n = len(entries)
-    transform = [[ONE if i == j else ZERO for j in range(n)]
-                 for i in range(n)]
-    norms = []
-    for i in range(n):
-        # <u_j, v_i> / <u_j, u_j>, with u_j = sum_k T[j][k] v_k
-        coef = [qdot((transform[j][k], entries[k][i]) for k in range(j + 1))
-                / norms[j] for j in range(i)]
-        for k in range(i):
-            transform[i][k] = -qdot((coef[j], transform[j][k])
-                                    for j in range(k, i))
-        # <u_i, u_i> = <u_i, v_i>: G is symmetric and u_i is orthogonal to
-        # v_0..v_{i-1}
-        sq = qdot((transform[i][k], entries[k][i]) for k in range(i + 1))
-        if sq.is_zero():
+    if n == 1:
+        if entries[0][0].is_zero():
             raise ValueError("singular leading minor")
-        norms.append(sq)
+        return [[ONE]], [entries[0][0]]
+    D, nums = over_common_denominator(x for row in entries for x in row)
+    rows = [nums[i * n:(i + 1) * n]
+            + [_LP_ONE if j == i else _LP_ZERO for j in range(n)]
+            for i in range(n)]
+    minors = [_LP_ONE]
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot.is_zero():
+            raise ValueError("singular leading minor")
+        prev = minors[-1]
+        for i in range(k + 1, n):
+            ri, rk, lead = rows[i], rows[k], rows[i][k]
+            for j in range(k + 1, 2 * n):
+                x = pivot * ri[j] - lead * rk[j]
+                ri[j] = x if prev == _LP_ONE else _lp_divexact(x, prev)
+        minors.append(pivot)
+    transform = [[QRational(rows[i][n + j], minors[i]) if j < i
+                  else (ONE if j == i else ZERO) for j in range(n)]
+                 for i in range(n)]
+    norms = [QRational(minors[i + 1], minors[i] * D) for i in range(n)]
     return transform, norms
 
 

@@ -10,7 +10,7 @@ without touching the full system.
 from itertools import permutations
 
 from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
-    _addmul, _lp_divexact, _lp_lcm, qdot
+    _addmul, over_common_denominator, qdot
 from .algebra import (counting_matrix, stochastic_order, pseudo_word,
                       quantum_determinant_power, inversions, _expand,
                       _neg_q_power)
@@ -241,9 +241,9 @@ def _residual_gate(rows, solution, used):
     a failure there is a fault of the elimination, and once they pass the
     values solve a full-rank subsystem, so a failure elsewhere means the
     system is inconsistent."""
-    D = _lp_lcm({x.den for x in solution.values()})
-    scaled = {u: QRational(x.num * _lp_divexact(D, x.den), _LP_ONE,
-                           _reduced=True) for u, x in solution.items()}
+    D, nums = over_common_denominator(solution.values())
+    scaled = {u: QRational(num, _LP_ONE, _reduced=True)
+              for u, num in zip(solution, nums)}
     D = QRational(D, _LP_ONE, _reduced=True)
     first = set(used)
     for i in list(used) + [i for i in range(len(rows)) if i not in first]:

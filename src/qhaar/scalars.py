@@ -260,6 +260,25 @@ def _lp_lcm(dens):
     return D
 
 
+def _is_unit(p):
+    """True when p is +-v^e, a unit of Z[v, 1/v]."""
+    return len(p.terms) == 1 and abs(next(iter(p.terms.values()))) == 1
+
+
+def _cancel(a, b):
+    """(a/g, b/g) for g a gcd of the nonzero LaurentPoly a and b; no gcd is
+    taken when either is a unit."""
+    if _is_unit(a) or _is_unit(b):
+        return a, b
+    alo, ac = a._dense()
+    blo, bc = b._dense()
+    g = _poly_gcd_dense(ac, bc)
+    if len(g) == 1 and g[0] == 1:
+        return a, b
+    return (LaurentPoly._from_dense(alo, _poly_divexact(ac, g)),
+            LaurentPoly._from_dense(blo, _poly_divexact(bc, g)))
+
+
 class QRational:
     """Reduced fraction of two LaurentPoly, the universal scalar.
 
@@ -354,12 +373,29 @@ class QRational:
     def __rsub__(self, other):
         return (-self) + other
 
+    @staticmethod
+    def _product(a, b, c, d):
+        """(a c) / (b d) in canonical form, for nonzero a, c and coprime
+        pairs (a, b) and (c, d): cancelled crosswise (Henrici 1956), so
+        the gcds are of a with d and of c with b, never of the products."""
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        num, den = a * c, b * d
+        dv = den.valuation()
+        if dv:
+            num, den = num.shift(-dv), den.shift(-dv)
+        if den.leading_coeff() < 0:
+            num, den = -num, -den
+        return QRational(num, den, _reduced=True)
+
     def __mul__(self, other):
         if isinstance(other, int):
             other = QRational.from_int(other)
+        if not self.num.terms or not other.num.terms:
+            return ZERO
         if self.den == _LP_ONE and other.den == _LP_ONE:
             return QRational(self.num * other.num, _LP_ONE, _reduced=True)
-        return QRational(self.num * other.num, self.den * other.den)
+        return QRational._product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -368,7 +404,9 @@ class QRational:
             other = QRational.from_int(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        return QRational(self.num * other.den, self.den * other.num)
+        if not self.num.terms:
+            return ZERO
+        return QRational._product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         if isinstance(other, int):
@@ -467,6 +505,17 @@ def qdot(pairs):
 def fraction_sum(parts):
     """The exact sum of an iterable of QRational."""
     return qdot((x, ONE) for x in parts)
+
+
+def over_common_denominator(values):
+    """(D, numerators) for an iterable of QRational: D is the canonical lcm
+    of their denominators and the i-th numerator is the LaurentPoly
+    values[i] * D."""
+    values = list(values)
+    dens = {x.den for x in values}
+    D = _lp_lcm(dens)
+    cofactor = {d: _lp_divexact(D, d) for d in dens}
+    return D, [x.num * cofactor[x.den] for x in values]
 
 
 def qq(a):

@@ -1,12 +1,14 @@
 """Corepresentation bases, Gram matrices, and their closed forms."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 
 import pytest
 
 from qhaar.algebra import AlgebraElement, equal_mod_det, star
-from qhaar.corep import (BasisVector, contents, gram_entry_closed,
+from qhaar.corep import (BasisVector, _closed_pair, contents,
+                         gram_entry_closed,
                          gram_entry_direct, gram_matrix, gram_schmidt,
                          matrix_coeff_norm, quantum_dimension,
                          vector_to_element, weight_space)
@@ -239,6 +241,54 @@ def test_cross_weight_orthogonality():
                 assert haar_state(star(x) * y) == ZERO
 
 
+FORM_SIDES = [(form, side) for form in "LR"
+              for side in ("right_comodule", "left_comodule")]
+
+
+def test_weight_space_constants():
+    # each (form, side) matrix is the right-comodule L matrix times one
+    # monomial, although every entry scales by the monomials of its own
+    # pair's first vector
+    for l1 in range(7):
+        for l2 in range(l1 + 1):
+            for mu in contents((l1, l2, 0)):
+                base = gram_matrix((l1, l2, 0), mu).entries
+                for form, side in FORM_SIDES:
+                    g = gram_matrix((l1, l2, 0), mu, form, side).entries
+                    c = g[0][0] / base[0][0]
+                    assert c.den == ONE.den and len(c.num.terms) == 1
+                    assert list(c.num.terms.values()) == [1]
+                    assert all(x == c * y for row, brow in zip(g, base)
+                               for x, y in zip(row, brow))
+
+
+def test_closed_pair_computed_once_per_weight_space():
+    vs = weight_space((4, 2, 0), (2, 2, 2))
+    n = len(vs)
+    _closed_pair.cache_clear()
+    for form, side in FORM_SIDES:
+        gram_matrix((4, 2, 0), (2, 2, 2), form, side)
+    info = _closed_pair.cache_info()
+    # one base entry per upper-triangle pair, three further requests each
+    assert n > 1 and info.misses == n * (n + 1) // 2
+    assert info.hits == 3 * info.misses
+
+
+def test_unknown_form_side_method_rejected():
+    vs = weight_space((2, 1, 0), (1, 1, 1))
+    _closed_pair.cache_clear()
+    for form, side in (("bogus", "right_comodule"), ("L", "bogus"),
+                       ("R", "right")):
+        with pytest.raises(ValueError):
+            gram_entry_closed(vs[0], vs[1], form, side)
+        with pytest.raises(ValueError):
+            gram_entry_direct(vs[0], vs[1], form, side)
+    # a rejected call leaves nothing in the memo
+    assert _closed_pair.cache_info().currsize == 0
+    with pytest.raises(ValueError):
+        gram_matrix((2, 1, 0), (1, 1, 1), method="bogus")
+
+
 def test_weight_mismatch_rejected():
     va = BasisVector("A", 1, 0, 0, 0, 0, 0)
     vb = BasisVector("A", 0, 0, 0, 1, 1, 0)
@@ -293,6 +343,50 @@ def test_gram_schmidt_diagonalizes():
                     for l in range(n):
                         dot = dot + t[i][k] * t[j][l] * g.entries[k][l]
                 assert dot == (norms[i] if i == j else ZERO)
+
+
+def _textbook_gram_schmidt(entries):
+    """u_i = v_i - sum_j (<v_i, u_j> / <u_j, u_j>) u_j, each u as its
+    coefficients over the v's, with every sum a pairwise + fold."""
+    n = len(entries)
+
+    def fold(xs):
+        return reduce(lambda a, b: a + b, xs, ZERO)
+
+    def dot(x, y):
+        return fold(x[k] * entries[k][l] * y[l]
+                    for k in range(n) for l in range(n))
+
+    us, norms = [], []
+    for i in range(n):
+        u = [ONE if k == i else ZERO for k in range(n)]
+        for j in range(i):
+            c = dot(u, us[j]) / norms[j]
+            u = [a - c * b for a, b in zip(u, us[j])]
+        us.append(u)
+        norms.append(dot(u, u))
+    return us, norms
+
+
+def test_gram_schmidt_matches_textbook():
+    for l1 in range(5):
+        for l2 in range(l1 + 1):
+            for mu in contents((l1, l2, 0)):
+                for form, side in FORM_SIDES:
+                    g = gram_matrix((l1, l2, 0), mu, form, side)
+                    assert gram_schmidt(g) == _textbook_gram_schmidt(
+                        g.entries), ((l1, l2), mu, form, side)
+
+
+def test_gram_schmidt_singular_leading_minor():
+    for entries in ([[ONE, ONE], [ONE, ONE]],
+                    [[ZERO, ONE], [ONE, ONE]],
+                    [[ZERO]],
+                    [[qq(1), ONE, ZERO], [ONE, qq(-1), ZERO],
+                     [ZERO, ZERO, ONE]]):
+        with pytest.raises(ValueError, match="singular leading minor"):
+            gram_schmidt(entries)
+    assert gram_schmidt([]) == ([], [])
 
 
 def test_positive_definite_at_sample_q():

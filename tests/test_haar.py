@@ -13,7 +13,8 @@ from qhaar.algebra import (AlgebraElement, comultiply, apply_morphism, equal_mod
                            quantum_determinant, pseudo_word, counting_matrix,
                            star)
 from qhaar.actions import act
-from qhaar.corep import gram_entry_direct, weight_space, vector_to_element
+from qhaar.corep import (gram_entry_closed, gram_entry_direct, weight_space,
+                         vector_to_element)
 from qhaar.haar import (haar_ref, haar_ref_recursive, haar_pseudo,
                         haar_order1, haar_state, haar_ratio_general_n,
                         check_pseudo_index)
@@ -183,6 +184,7 @@ def test_import_fills_no_cache():
     assert sizes["qhaar.algebra._expand"] == 0
     assert sizes["qhaar.algebra._insert"] == 0
     assert sizes["qhaar.algebra.quantum_determinant_power"] == 0
+    assert sizes["qhaar.corep._closed_pair"] == 0
     assert set(sizes.values()) == {0}
 
 
@@ -208,6 +210,8 @@ def test_values_independent_of_call_order():
         lambda: haar_state(E.word(2, antidiagonal(2, 3), 3)),
         lambda: haar_state(E.word(4, antidiagonal(4, 2), 2)),
         lambda: gram_entry_direct(vectors[0], vectors[-1]),
+        lambda: gram_entry_closed(vectors[-1], vectors[0], "R",
+                                  "left_comodule"),
     ]
     forward = [f() for f in evaluations]
     for f in package_caches().values():

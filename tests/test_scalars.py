@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qhaar.scalars import (LaurentPoly, QRational, ZERO, ONE, qq, q_number,
                            q_factorial, q_binomial, q_multinomial, poch,
-                           evaluate_numeric, fraction_sum, qdot)
+                           evaluate_numeric, fraction_sum,
+                           over_common_denominator, qdot)
 
 
 def test_cancellation():
@@ -172,7 +173,67 @@ def test_exact_sum_cases():
     assert qdot([(ONE / d, ONE - qq(4))]) == ONE + qq(2)
 
 
-GCD_NAMES = {"_lp_gcd", "_poly_gcd_dense", "_normalize"}
+def _laurent(content, terms):
+    return LaurentPoly({e: content * c for e, c in terms})
+
+
+# numerators and denominators with integer contents other than 1, any
+# valuation and either sign of the leading coefficient, reduced by the full
+# normalization
+unreduced = st.builds(
+    lambda nc, nt, dc, dt: QRational(_laurent(nc, nt.items()),
+                                     _laurent(dc, dt.items())),
+    st.integers(-6, 6).filter(bool),
+    st.dictionaries(st.integers(-5, 5), st.integers(-6, 6), max_size=4),
+    st.integers(-6, 6).filter(bool),
+    st.dictionaries(st.integers(-4, 4), st.integers(-6, 6).filter(bool),
+                    min_size=1, max_size=3),
+)
+
+
+def full_product(a, b, c, d):
+    """The independent route: (a c) / (b d) normalized as a whole."""
+    return QRational(a * c, b * d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(unreduced, scalars), st.one_of(unreduced, scalars))
+def test_cross_cancelled_products_match_full_normalization(x, y):
+    # divisors whose numerator has a negative valuation or a negative
+    # leading coefficient, a non-unit content, and a unit
+    fixed = [(qq(-3) - qq(-1) * 2) / (ONE - qq(1)),
+             QRational(LaurentPoly({-2: 6, 1: -4}), LaurentPoly({0: 3, 2: 9})),
+             -qq(Fraction(1, 2))]
+    for a, b in [(x, y)] + [(x, z) for z in fixed] + [(z, y) for z in fixed]:
+        assert a * b == full_product(a.num, a.den, b.num, b.den)
+        if not b.is_zero():
+            assert a / b == full_product(a.num, a.den, b.den, b.num)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(unreduced, scalars), max_size=6))
+def test_over_common_denominator(values):
+    D, nums = over_common_denominator(values)
+    assert len(nums) == len(values)
+    for x, num in zip(values, nums):
+        assert QRational(num, D) == x
+    # D is the lcm: a common denominator that every smaller one misses
+    dens = {x.den for x in values}
+    assert all(QRational(D, d).den == LaurentPoly({0: 1}) for d in dens)
+    assert QRational(D).den == LaurentPoly({0: 1})
+
+
+def test_over_common_denominator_cases():
+    assert over_common_denominator([]) == (LaurentPoly({0: 1}), [])
+    d = ONE - qq(2)
+    D, nums = over_common_denominator([ONE / d, ONE / (ONE - qq(4)), qq(1)])
+    # canonical denominators have a positive leading coefficient
+    assert QRational(D) == qq(4) - ONE
+    assert [QRational(n) for n in nums] == [-ONE - qq(2), -ONE,
+                                             qq(5) - qq(1)]
+
+
+GCD_NAMES = {"_lp_gcd", "_poly_gcd_dense", "_normalize", "_lp_lcm"}
 
 
 def test_gcd_stays_in_scalars():
