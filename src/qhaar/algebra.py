@@ -346,6 +346,8 @@ def quantum_determinant(n):
 @cache
 def quantum_determinant_power(n, m):
     """D_q^m, expanded and cached."""
+    if m < 0:
+        raise ValueError("D_q power must be nonnegative")
     if m == 0:
         return AlgebraElement.unit(n)
     return quantum_determinant_power(n, m - 1) * quantum_determinant(n)

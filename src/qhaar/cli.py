@@ -438,6 +438,13 @@ _COMMANDS = {
 }
 
 
+def _nonnegative_int(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "expected a nonnegative integer, got %r" % text)
+    return int(text)
+
+
 def _build_argparser():
     top = argparse.ArgumentParser(prog="qhaar")
     sub = top.add_subparsers(dest="command", required=True)
@@ -471,7 +478,7 @@ def _build_argparser():
     output(p)
     p = sub.add_parser("verify")
     p.add_argument("--suite", required=True)
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=_nonnegative_int, default=6)
     p.add_argument("--out", default=None)
     return top
 

@@ -7,7 +7,7 @@ recursive Source-matrix scheme that yields h(x_{sigma_0}^m) on O(U_q(n))
 without touching the full system.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
     _addmul, over_common_denominator, qdot
@@ -41,6 +41,8 @@ def _check_feasible(n, m, bounds, override=False):
 def enumerate_Bnm(n, m):
     """All n x n m-doubly-stochastic matrices, sorted lexicographically by
     their flattened vector (the order the pseudo-bases are indexed in)."""
+    if m < 0:
+        raise ValueError("order must be nonnegative")
     out = []
     rows = []
 
@@ -271,29 +273,22 @@ def _class_sort(n, word):
     """Stable sort by polarity class (negative, neutral, positive from the
     right end to the left, i.e. negatives first) using only the switch rules
     that generate no extra terms.  Returns the sorted list and the exponent e
-    of the scalar v^e the switches picked up."""
-    w = list(word)
+    of the scalar v^e the switches picked up: every pair standing in the
+    wrong order is switched once, for v^-2 or v^2 when the two share a row
+    or column, and for nothing when they are anti-diagonal."""
+    pol = [_polarity(n, g) for g in word]
     e = 0
-
-    def key(g):
-        return _polarity(n, g)
-
-    changed = True
-    while changed:
-        changed = False
-        for p in range(len(w) - 1):
-            g1, g2 = w[p], w[p + 1]
-            if key(g1) <= key(g2):
-                continue
-            if g1[0] == g2[0] or g1[1] == g2[1]:
-                e += -2 if g1 > g2 else 2
-            else:
-                # must be an anti-diagonal pair; a diagonal pair would spawn
-                # an extra monomial and break the reduction
-                assert (g1[0] - g2[0]) * (g1[1] - g2[1]) < 0, (g1, g2)
-            w[p], w[p + 1] = g2, g1
-            changed = True
-    return w, e
+    for p, r in combinations(range(len(word)), 2):
+        if pol[p] <= pol[r]:
+            continue
+        g1, g2 = word[p], word[r]
+        if g1[0] == g2[0] or g1[1] == g2[1]:
+            e += -2 if g1 > g2 else 2
+        else:
+            # must be an anti-diagonal pair; a diagonal pair would spawn
+            # an extra monomial and break the reduction
+            assert (g1[0] - g2[0]) * (g1[1] - g2[1]) < 0, (g1, g2)
+    return sorted(word, key=lambda g: _polarity(n, g)), e
 
 
 def _eta_reduction(n, m, sigma, f):
@@ -352,12 +347,10 @@ def source_matrix_solve(n, m, override_feasibility=False):
                                 for j in range(1, n + 1))
                           for i in range(1, n + 1))
             coeffs = {}
-            for mask in range(mu ** len(moving)):
+            for shifts in product(range(mu), repeat=len(moving)):
                 f = [0] * n
-                v = mask
-                for r in moving:
-                    f[r - 1] = v % mu
-                    v //= mu
+                for r, shift in zip(moving, shifts):
+                    f[r - 1] = shift
                 zw = []
                 for r in range(1, n + 1):
                     if sigma[r - 1] == r:

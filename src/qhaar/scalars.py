@@ -279,6 +279,17 @@ def _cancel(a, b):
             LaurentPoly._from_dense(blo, _poly_divexact(bc, g)))
 
 
+def _canonical(num, den):
+    """(num, den) times a unit of Z[v, 1/v], chosen so that den has
+    valuation 0 and a positive leading coefficient."""
+    dv = den.valuation()
+    if dv:
+        num, den = num.shift(-dv), den.shift(-dv)
+    if den.leading_coeff() < 0:
+        num, den = -num, -den
+    return num, den
+
+
 class QRational:
     """Reduced fraction of two LaurentPoly, the universal scalar.
 
@@ -303,22 +314,7 @@ class QRational:
 
     @staticmethod
     def _normalize(num, den):
-        # move the monomial unit out of den
-        dv = den.valuation()
-        if dv:
-            den = den.shift(-dv)
-            num = num.shift(-dv)
-        nlo, nc = num._dense()
-        _, dc = den._dense()
-        g = _poly_gcd_dense(nc, dc)
-        if len(g) > 1 or g[0] != 1:
-            nc = _poly_divexact(nc, g)
-            dc = _poly_divexact(dc, g)
-            num = LaurentPoly._from_dense(nlo, nc)
-            den = LaurentPoly._from_dense(0, dc)
-        if den.leading_coeff() < 0:
-            num, den = -num, -den
-        return num, den
+        return _canonical(*_cancel(num, den))
 
     # -- constructors -------------------------------------------------
 
@@ -380,13 +376,7 @@ class QRational:
         the gcds are of a with d and of c with b, never of the products."""
         a, d = _cancel(a, d)
         c, b = _cancel(c, b)
-        num, den = a * c, b * d
-        dv = den.valuation()
-        if dv:
-            num, den = num.shift(-dv), den.shift(-dv)
-        if den.leading_coeff() < 0:
-            num, den = -num, -den
-        return QRational(num, den, _reduced=True)
+        return QRational(*_canonical(a * c, b * d), _reduced=True)
 
     def __mul__(self, other):
         if isinstance(other, int):

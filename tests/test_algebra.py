@@ -273,6 +273,15 @@ def test_determinant_group_like_and_central(n):
     assert equal_mod_det(D * E.det_inv(n), E.unit(n))
 
 
+def test_negative_determinant_power_rejected():
+    # a ValueError up front, not a RecursionError from counting down
+    assert quantum_determinant_power(2, 0) == E.unit(2)
+    with pytest.raises(ValueError):
+        quantum_determinant_power(2, -1)
+    with pytest.raises(ValueError):
+        enumerate_Bnm(3, -1)
+
+
 def test_minor_coproduct():
     n, I, J = 3, (1, 2), (1, 3)
     got = comultiply(quantum_minor(n, I, J))

@@ -187,6 +187,10 @@ def test_exit_codes():
     assert run(["gram", "--lambda", "1,2,0", "--mu", "1,1,1"])[0] == 2
     # a library ValueError that is no verification failure
     assert run(["source", "--n", "1", "--m", "1"])[0] == 6
+    # negative orders and bounds
+    assert run(["solve", "--n", "2", "--m", "-1"])[0] == 6
+    assert run(["table", "--m", "-1"])[0] == 6
+    assert run(["verify", "--suite", "s-sum", "--bound", "-3"])[0] == 2
     # gram reads no rank: rank 3 is fixed, so --n is not an option
     assert run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1", "--n", "4"])[0] \
         == 2

@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from qhaar.algebra import AlgebraElement, equal_mod_det, star
-from qhaar.corep import (BasisVector, _closed_pair, contents,
-                         gram_entry_closed,
+from qhaar.corep import (BasisVector, _Q2, _Q4, _closed_pair,
+                         _gram_double_sum, contents, gram_entry_closed,
                          gram_entry_direct, gram_matrix, gram_schmidt,
                          matrix_coeff_norm, quantum_dimension,
                          vector_to_element, weight_space)
@@ -40,7 +40,7 @@ def _brute_force_ssyt(l1, l2):
             d = tuple(cols.count(c) for c in ((1, 2), (1, 3), (2, 3)))
             c = tuple(r1[l2:].count(x) for x in (1, 2, 3))
             content = tuple((r1 + r2).count(x) for x in (1, 2, 3))
-            out.append((content, ("B" if d[2] else "A",) + d + c))
+            out.append((content, d + c))
     return out
 
 
@@ -54,10 +54,9 @@ def test_weight_space_matches_brute_force_ssyt():
                     mu = (m1, m2, n - m1 - m2)
                     # chain order: increasing d1
                     want = sorted((key for content, key in ssyt
-                                   if content == mu), key=lambda k: k[1])
+                                   if content == mu), key=lambda k: k[0])
                     vs = weight_space((l1, l2, 0), mu)
-                    got = [(v.family, v.d1, v.d2, v.d3, v.c1, v.c2, v.c3)
-                           for v in vs]
+                    got = [(v.d1, v.d2, v.d3, v.c1, v.c2, v.c3) for v in vs]
                     assert got == want, ((l1, l2), mu)
                     assert all(v.content() == mu and v.shape() == (l1, l2, 0)
                                for v in vs)
@@ -79,16 +78,16 @@ def test_ssyt_counts():
 def test_tableau_to_vector():
     # rows (1), (2): one (1,2) column
     assert weight_space((1, 1, 0), (1, 1, 0)) == \
-        [BasisVector("A", 1, 0, 0, 0, 0, 0)]
+        [BasisVector(1, 0, 0, 0, 0, 0)]
     # row (2): one single 2
     assert weight_space((1, 0, 0), (0, 1, 0)) == \
-        [BasisVector("A", 0, 0, 0, 0, 1, 0)]
+        [BasisVector(0, 0, 0, 0, 1, 0)]
     # rows (1, 3), (2): the second vector of its chain
     assert weight_space((2, 1, 0), (1, 1, 1))[1] == \
-        BasisVector("A", 1, 0, 0, 0, 0, 1)
-    # rows (2, 2), (3): a (2,3) column, so family B
+        BasisVector(1, 0, 0, 0, 0, 1)
+    # rows (2, 2), (3): a (2,3) column
     assert weight_space((2, 1, 0), (0, 2, 1)) == \
-        [BasisVector("B", 0, 0, 1, 0, 1, 0)]
+        [BasisVector(0, 0, 1, 0, 1, 0)]
     # a wrong sum is rejected; a right sum that does not occur is empty
     with pytest.raises(ValueError):
         weight_space((2, 1, 0), (1, 1, 0))
@@ -96,34 +95,25 @@ def test_tableau_to_vector():
 
 
 def test_vector_to_element_examples():
-    assert vector_to_element(BasisVector("A", 1, 0, 0, 0, 0, 0)) == \
+    assert vector_to_element(BasisVector(1, 0, 0, 0, 0, 0)) == \
         _from("ae") + _from("bd", coeff=-qq(1))
-    assert vector_to_element(BasisVector("A", 0, 0, 0, 1, 0, 0)) == \
+    assert vector_to_element(BasisVector(0, 0, 0, 1, 0, 0)) == \
         _from("a")
     # q^2 g* D_q is exactly the two-row minor on columns 2,3
-    assert vector_to_element(BasisVector("B", 0, 0, 1, 0, 0, 0)) == \
+    assert vector_to_element(BasisVector(0, 0, 1, 0, 0, 0)) == \
         _from("bf") + _from("ce", coeff=-qq(1))
 
 
 def test_vector_to_element_matches_star_form():
-    # the defining product (k*)^d1 (-q h*)^d2 a^c1 b^c2 c^c3 D_q^(d1+d2)
+    # the defining product
+    # (k*)^d1 (-q h*)^d2 (q^2 g*)^d3 a^c1 b^c2 c^c3 D_q^(d1+d2+d3)
     k_s, h_s, g_s = (star(E.gen(3, i, j)) for (i, j) in
                      ((3, 3), (3, 2), (3, 1)))
     from qhaar.algebra import quantum_determinant
     dq = quantum_determinant(3)
-    for v in (BasisVector("A", 1, 1, 0, 1, 1, 1),
-              BasisVector("A", 2, 1, 0, 0, 1, 0)):
-        built = E.unit(3)
-        for _ in range(v.d1):
-            built = built * k_s
-        for _ in range(v.d2):
-            built = built * h_s.scale(-qq(1))
-        built = built * _from("a") ** v.c1 * _from("b") ** v.c2 \
-            * _from("c") ** v.c3
-        for _ in range(v.d1 + v.d2):
-            built = built * dq
-        assert equal_mod_det(built, vector_to_element(v))
-    for v in (BasisVector("B", 1, 1, 1, 0, 1, 1),):
+    for v in (BasisVector(1, 1, 0, 1, 1, 1),
+              BasisVector(2, 1, 0, 0, 1, 0),
+              BasisVector(1, 1, 1, 0, 1, 1)):
         built = E.unit(3)
         for _ in range(v.d1):
             built = built * k_s
@@ -131,7 +121,8 @@ def test_vector_to_element_matches_star_form():
             built = built * h_s.scale(-qq(1))
         for _ in range(v.d3):
             built = built * g_s.scale(qq(2))
-        built = built * _from("b") ** v.c2 * _from("c") ** v.c3
+        built = built * _from("a") ** v.c1 * _from("b") ** v.c2 \
+            * _from("c") ** v.c3
         for _ in range(v.d1 + v.d2 + v.d3):
             built = built * dq
         assert equal_mod_det(built, vector_to_element(v))
@@ -152,9 +143,9 @@ def test_weight_space_chain():
 
 
 def test_square_length_two_column_family():
-    # family A, d2 = c2 = c3 = 0
+    # d2 = d3 = c2 = c3 = 0
     for d1, c1 in ((1, 0), (0, 2), (2, 1), (1, 2)):
-        v = BasisVector("A", d1, 0, 0, c1, 0, 0)
+        v = BasisVector(d1, 0, 0, c1, 0, 0)
         want = ((qq(2) - ONE) ** 2 * (qq(4) - ONE)
                 / ((qq(2 * c1 + 2) - ONE) * (qq(2 * d1 + 2) - ONE)
                    * (qq(2 * (d1 + c1) + 4) - ONE)))
@@ -176,11 +167,11 @@ def test_square_length_pure_column_family():
 
 
 def test_square_length_no_c_boxes():
-    # family A with c2 = c3 = 0, against the two-Pochhammer display
+    # d3 = c2 = c3 = 0, against the two-Pochhammer display
     for d1 in range(3):
         for d2 in range(3):
             for c1 in range(3):
-                v = BasisVector("A", d1, d2, 0, c1, 0, 0)
+                v = BasisVector(d1, d2, 0, c1, 0, 0)
                 disp = (qq(2 * d1 * d2) * (ONE - qq(2)) ** 2 * (ONE - qq(4))
                         * poch(1, d1) * poch(1, d2)
                         / ((ONE - qq(2 * c1 + 2)) * poch(1, d1 + d2 + 1)
@@ -195,7 +186,7 @@ def test_square_length_no_d2():
         for c1 in range(3):
             for c2 in range(3):
                 for c3 in range(3):
-                    v = BasisVector("A", d1, 0, 0, c1, c2, c3)
+                    v = BasisVector(d1, 0, 0, c1, c2, c3)
                     want = (qq(2 * c1 * c2 + 2 * c1 * c3 + 2 * c2 * c3
                                + 2 * c2 + 4 * c3 + 2 * d1 * c3)
                             * (ONE - qq(2)) ** 2 * (ONE - qq(4))
@@ -290,15 +281,78 @@ def test_unknown_form_side_method_rejected():
 
 
 def test_weight_mismatch_rejected():
-    va = BasisVector("A", 1, 0, 0, 0, 0, 0)
-    vb = BasisVector("A", 0, 0, 0, 1, 1, 0)
+    va = BasisVector(1, 0, 0, 0, 0, 0)
+    vb = BasisVector(0, 0, 0, 1, 1, 0)
     with pytest.raises(ValueError):
         gram_entry_closed(va, vb)
     with pytest.raises(ValueError):
         gram_entry_direct(va, vb)
     with pytest.raises(ValueError):
-        gram_entry_direct(BasisVector("A", 4, 0, 0, 4, 0, 0),
-                          BasisVector("A", 4, 0, 0, 4, 0, 0))
+        gram_entry_direct(BasisVector(4, 0, 0, 4, 0, 0),
+                          BasisVector(4, 0, 0, 4, 0, 0))
+
+
+def test_same_tableau_is_one_vector():
+    # a tableau is its six column counts, however the vector was made
+    v, w = BasisVector(1, 0, 0, 0, 0, 0), weight_space((1, 1, 0), (1, 1, 0))[0]
+    assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+    _closed_pair.cache_clear()
+    assert gram_entry_closed(v, w) == gram_entry_closed(w, v) == \
+        gram_entry_direct(v, w)
+    assert _closed_pair.cache_info().currsize == 1
+    with pytest.raises(AttributeError):
+        v.d1 = 2
+    # no semistandard filling has a (2,3) column beside a single 1
+    with pytest.raises(ValueError):
+        BasisVector(0, 0, 1, 1, 0, 0)
+    with pytest.raises(ValueError):
+        BasisVector(0, 0, 0, 0, -1, 1)
+    with pytest.raises(ValueError):
+        v._replace(d3=1, c1=1)
+
+
+def _two_branch_pair(v, k):
+    """<v, v_k> (right comodule, form L) as the paper writes it: one
+    display for d3 = 0 and one for c1 = 0, with the double sum's arguments
+    reordered for the latter."""
+    d1, d2, d3, c1, c2, c3 = v
+    if d3 == 0:
+        pre = qq(2 * d1 * d2 + 4 * d1 + 4 * d2 + 2 * c1 * c2 + 2 * c1 * c3
+                 + 2 * c2 * c3 + 4 * c1 + 4 * c2 + 4 * c3
+                 + k * (d2 + c2 - k))
+        den = poch(1, d1 + d2 + 1) * poch(1, c1 + c2 + c3 + 1)
+        double = _gram_double_sum(d1, d2, c1, c2, c3, k)
+    else:
+        pre = qq(2 * d2 * d3 + 2 * d1 * d2 + 2 * d1 * d3 + 4 * d3 + 4 * d1
+                 + 4 * d2 + 2 * c2 * c3 + 4 * c2 + 4 * c3
+                 + k * (d2 + c2 - k))
+        den = poch(1, c2 + c3 + 1) * poch(1, d1 + d2 + d3 + 1)
+        double = _gram_double_sum(d1, c2, d3, d2, c3, k)
+    return pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2) / den * double
+
+
+def test_closed_pair_matches_two_branch_formula():
+    pairs = with_d3 = 0
+    for l1 in range(7):
+        for l2 in range(l1 + 1):
+            for mu in contents((l1, l2, 0)):
+                vs = weight_space((l1, l2, 0), mu)
+                for i, v in enumerate(vs):
+                    for k in range(len(vs) - i):
+                        assert _closed_pair(v, k) == _two_branch_pair(v, k), \
+                            (v, k)
+                        pairs += 1
+                        with_d3 += v.d3 > 0
+    assert pairs == 924 and with_d3 > 0
+
+
+def test_gram_double_sum_symmetric():
+    # the symmetry in the second and fourth arguments behind the single
+    # closed form, for entries <= 2 and every chain offset k
+    for d1, x, y, z, c3 in product(range(3), repeat=5):
+        for k in range(min(x, z) + 1):
+            assert _gram_double_sum(d1, x, y, z, c3, k) == \
+                _gram_double_sum(d1, z, y, x, c3, k)
 
 
 # ---------------------------------------------------------------------
