@@ -152,6 +152,8 @@ class AlgebraElement:
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None, canonical=False):
+        if n < 1:
+            raise ValueError("rank must be positive")
         merged = {}
         if terms:
             if canonical:
@@ -345,23 +347,20 @@ def quantum_determinant(n):
 
 @cache
 def quantum_determinant_power(n, m):
-    """D_q^m, expanded and cached."""
+    """D_q^m = D_q^(m-1) D_q, expanded and cached.  The lower powers are
+    filled in upwards first, so D_q^(m-1) comes from the cache and no call
+    nests deeper than two levels."""
     if m < 0:
         raise ValueError("D_q power must be nonnegative")
     if m == 0:
         return AlgebraElement.unit(n)
+    for k in range(1, m - 1):
+        quantum_determinant_power(n, k)
     return quantum_determinant_power(n, m - 1) * quantum_determinant(n)
 
 
 def _complement(n, S):
     return tuple(sorted(set(range(1, n + 1)) - set(S)))
-
-
-def antipode_gen(n, i, j):
-    """S(x_{i,j}) = (-q)^{i-j} * minor(rows = complement j, cols = complement i)
-    * det_q^{-1}."""
-    minor = quantum_minor(n, _complement(n, (j,)), _complement(n, (i,)))
-    return (minor * AlgebraElement.det_inv(n)).scale(_neg_q_power(i - j))
 
 
 def _anti_extend(x, gen_image):
@@ -378,20 +377,14 @@ def _anti_extend(x, gen_image):
 
 
 def antipode(x):
-    return _anti_extend(x, antipode_gen)
-
-
-def star_gen(n, i, j):
-    """x_{i,j}^* = (-q)^{j-i} * minor(rows = complement i, cols = complement j)
-    * det_q^{-1}."""
-    minor = quantum_minor(n, _complement(n, (i,)), _complement(n, (j,)))
-    return (minor * AlgebraElement.det_inv(n)).scale(_neg_q_power(j - i))
+    """S(x_{i,j}) = (x_{j,i})^*, the 1 x 1 case of minor_star."""
+    return _anti_extend(x, lambda n, i, j: minor_star(n, (j,), (i,)))
 
 
 def star(x):
     """The star structure of the compact real form; anti-multiplicative and
     involutive, the identity on scalars (q is real)."""
-    return _anti_extend(x, star_gen)
+    return _anti_extend(x, lambda n, i, j: minor_star(n, (i,), (j,)))
 
 
 def _lseq(I, J):
@@ -407,6 +400,12 @@ def minor_star(n, I, J):
     return (quantum_minor(n, Ic, Jc) * AlgebraElement.det_inv(n)).scale(coeff)
 
 
+def _rho_exponent(n, factors):
+    """The q-exponent by which the modular automorphism rho scales a word:
+    the sum of 2n + 2 - 2i - 2j over its letters x_{i,j}."""
+    return sum(2 * n + 2 - 2 * i - 2 * j for (i, j) in factors)
+
+
 def apply_morphism(x, which):
     """gamma: diagonal flip homomorphism; omega: double flip anti-homomorphism;
     rho: the modular automorphism (diagonal rescaling)."""
@@ -420,11 +419,9 @@ def apply_morphism(x, which):
             (tuple((n + 1 - i, n + 1 - j) for (i, j) in reversed(factors)),
              det): c for (factors, det), c in x.terms.items()})
     if which == "rho":
-        t = {}
-        for (factors, det), c in x.terms.items():
-            e = sum(2 * n + 2 - 2 * i - 2 * j for (i, j) in factors)
-            t[(factors, det)] = c * qq(e)
-        return AlgebraElement(n, t, canonical=True)
+        return AlgebraElement(n, {(factors, det): c * qq(_rho_exponent(
+            n, factors)) for (factors, det), c in x.terms.items()},
+            canonical=True)
     raise ValueError("unknown morphism %r" % which)
 
 

@@ -445,6 +445,13 @@ def _nonnegative_int(text):
     return int(text)
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return int(text)
+
+
 def _build_argparser():
     top = argparse.ArgumentParser(prog="qhaar")
     sub = top.add_subparsers(dest="command", required=True)
@@ -457,12 +464,12 @@ def _build_argparser():
 
     p = sub.add_parser("eval")
     p.add_argument("expression")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_positive_int, default=3)
     output(p)
     for name in ("table", "solve", "source"):
         p = sub.add_parser(name)
         p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, default=3)
+        p.add_argument("--n", type=_positive_int, default=3)
         p.add_argument("--override-feasibility", action="store_true",
                        dest="override_feasibility")
         output(p)

@@ -13,7 +13,7 @@ from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
     _addmul, over_common_denominator, qdot
 from .algebra import (counting_matrix, stochastic_order, pseudo_word,
                       quantum_determinant_power, inversions, _expand,
-                      _neg_q_power)
+                      _neg_q_power, _rho_exponent)
 
 # conservative solvability bounds for the full system and the Source matrix
 _SYSTEM_BOUNDS = {2: 6, 3: 3, 4: 2}
@@ -40,38 +40,19 @@ def _check_feasible(n, m, bounds, override=False):
 
 def enumerate_Bnm(n, m):
     """All n x n m-doubly-stochastic matrices, sorted lexicographically by
-    their flattened vector (the order the pseudo-bases are indexed in)."""
+    their flattened vector (the order the pseudo-bases are indexed in):
+    n - 1 rows from the compositions of m, and the column sums' complement
+    to m as the last row when it is nonnegative."""
+    if n < 1:
+        raise ValueError("rank must be positive")
     if m < 0:
         raise ValueError("order must be nonnegative")
+    rows = [r for r in product(range(m + 1), repeat=n) if sum(r) == m]
     out = []
-    rows = []
-
-    def fill(i, colleft):
-        if i == n:
-            out.append(tuple(rows))
-            return
-        if i == n - 1:
-            rows.append(tuple(colleft))
-            fill(i + 1, None)
-            rows.pop()
-            return
-        row = []
-
-        def cell(j, left):
-            if j == n:
-                if left == 0:
-                    rows.append(tuple(row))
-                    fill(i + 1, [colleft[c] - row[c] for c in range(n)])
-                    rows.pop()
-                return
-            for v in range(min(left, colleft[j]), -1, -1):
-                row.append(v)
-                cell(j + 1, left - v)
-                row.pop()
-
-        cell(0, m)
-
-    fill(0, [m] * n)
+    for head in product(rows, repeat=n - 1):
+        last = tuple(m - sum(r[j] for r in head) for j in range(n))
+        if min(last) >= 0:
+            out.append(head + (last,))
     return sorted(out)
 
 
@@ -117,29 +98,18 @@ def _comultiply_filtered(n, m, factors):
             c = LaurentPoly(t)
             if c:
                 legs[key] = (c, rows)
-    alpha = [sum(r) for r in counting_matrix(n, factors)]
-    beta = [sum(c) for c in zip(*counting_matrix(n, factors))]
-    # one counting matrix per distinct canonical leg word, checked once;
-    # None marks a right word that is not of order m.  Both matrices of a
-    # kept pair are of order m, so the left column sums equal the right row
-    # sums.
-    lefts, rights = {}, {}
+    # Both legs are of order m: no right row passes m and the n m letters
+    # fill them all, the right columns and left rows are those of the word,
+    # and the left columns are the right rows.  One counting matrix per
+    # distinct leg word, checked once.
+    thetas = {}
+    for w in {w for key in legs for w in key}:
+        theta = thetas[w] = counting_matrix(n, w)
+        assert stochastic_order(theta) == m
     out = {}
     for (lf, rf), (c, _rows) in legs.items():
-        if rf not in rights:
-            tr = counting_matrix(n, rf)
-            keep = stochastic_order(tr) == m
-            assert not keep or [sum(col) for col in zip(*tr)] == beta
-            rights[rf] = tr if keep else None
-        tr = rights[rf]
-        if tr is None:
-            continue
-        if lf not in lefts:
-            tl = lefts[lf] = counting_matrix(n, lf)
-            assert stochastic_order(tl) == m
-            assert [sum(r) for r in tl] == alpha
-        out.setdefault(lefts[lf], {})[tr] = QRational(c, _LP_ONE,
-                                                      _reduced=True)
+        out.setdefault(thetas[lf], {})[thetas[rf]] = QRational(
+            c, _LP_ONE, _reduced=True)
     return out
 
 
@@ -269,13 +239,13 @@ def _polarity(n, g):
     return (n + 1 - g[0] - g[1] > 0) - (n + 1 - g[0] - g[1] < 0)
 
 
-def _class_sort(n, word):
-    """Stable sort by polarity class (negative, neutral, positive from the
-    right end to the left, i.e. negatives first) using only the switch rules
-    that generate no extra terms.  Returns the sorted list and the exponent e
-    of the scalar v^e the switches picked up: every pair standing in the
-    wrong order is switched once, for v^-2 or v^2 when the two share a row
-    or column, and for nothing when they are anti-diagonal."""
+def _class_sort_exponent(n, word):
+    """The exponent e of the scalar v^e that a stable sort of the word by
+    polarity class (negative, neutral, positive from the right end to the
+    left, i.e. negatives first) picks up, using only the switch rules that
+    generate no extra terms: every pair standing in the wrong order is
+    switched once, for v^-2 or v^2 when the two share a row or column, and
+    for nothing when they are anti-diagonal."""
     pol = [_polarity(n, g) for g in word]
     e = 0
     for p, r in combinations(range(len(word)), 2):
@@ -288,36 +258,27 @@ def _class_sort(n, word):
             # must be an anti-diagonal pair; a diagonal pair would spawn
             # an extra monomial and break the reduction
             assert (g1[0] - g2[0]) * (g1[1] - g2[1]) < 0, (g1, g2)
-    return sorted(word, key=lambda g: _polarity(n, g)), e
+    return e
 
 
 def _eta_reduction(n, m, sigma, f):
     """h(eta_f det^-m) as a dict tau -> LaurentPoly coefficient over the
-    Source unknowns h(x_m^tau)."""
-    word = []
-    for r in range(1, n + 1):
-        core = (r, n + 1 - r)
-        if sigma[r - 1] == r:
-            word.extend([core] * m)
-        else:
-            word.extend([core] * f[r - 1])
-            word.append((sigma[r - 1], n + 1 - r))
-            word.extend([core] * (m - 1 - f[r - 1]))
-    swapped, e = _class_sort(n, word)
-    neg = [g for g in swapped if _polarity(n, g) < 0]
-    pos = [g for g in swapped if _polarity(n, g) > 0]
-    fixed = [(r, n + 1 - r) for r in range(1, n + 1) if sigma[r - 1] == r]
-    # the neutral block must be the anti-diagonal cores in row order, with the
-    # fixed-point extras inline (all copies of a block's core are identical)
-    neutrals = [g for g in swapped if _polarity(n, g) == 0]
-    expected = []
-    for r in range(1, n + 1):
-        expected.extend([(r, n + 1 - r)] * (m - 1 + (sigma[r - 1] == r)))
-    assert neutrals == expected and swapped == neg + neutrals + pos
-    # modular transfer of the trailing neutral extras and positives
-    d = sum(2 * n + 2 - 2 * i - 2 * j for (i, j) in fixed + pos)
-    e += 2 * d
-    prefix = tuple(fixed + pos + neg)
+    Source unknowns h(x_m^tau).  Row r of eta_f is core^f_r special
+    core^(m-1-f_r), core = (r, n+1-r) and special = (sigma(r), n+1-r);
+    a fixed row's special is its core."""
+    specials = [(s, n + 1 - r) for r, s in enumerate(sigma, 1)]
+    word = [g for r, s in enumerate(specials, 1)
+            for g in [(r, n + 1 - r)] * f[r - 1] + [s]
+            + [(r, n + 1 - r)] * (m - 1 - f[r - 1])]
+    e = _class_sort_exponent(n, word)
+    # The class sort leaves the moving rows' specials at the two ends, in
+    # row order, and between them the neutral block: the cores and the
+    # fixed rows' specials, anti-diagonal letters that commute.  So the
+    # fixed rows' specials can trail the m - 1 cores per row, and modular
+    # transfer brings them and the positives to the front.
+    pol = {g: _polarity(n, g) for g in specials}
+    e += 2 * _rho_exponent(n, [g for g in specials if pol[g] >= 0])
+    prefix = tuple(sorted(specials, key=lambda g: (pol[g] < 0, pol[g])))
     out = {}
     for cw, cc in _expand(prefix).items():
         tau = tuple(j for (_i, j) in cw)
@@ -342,26 +303,20 @@ def source_matrix_solve(n, m, override_feasibility=False):
         for sigma in perms:
             if sigma == tuple(range(1, n + 1)):
                 continue
-            moving = [r for r in range(1, n + 1) if sigma[r - 1] != r]
             theta = tuple(tuple((mu - 1) * (i == j) + (j == sigma[i - 1])
                                 for j in range(1, n + 1))
                           for i in range(1, n + 1))
             coeffs = {}
-            for shifts in product(range(mu), repeat=len(moving)):
-                f = [0] * n
-                for r, shift in zip(moving, shifts):
-                    f[r - 1] = shift
-                zw = []
-                for r in range(1, n + 1):
-                    if sigma[r - 1] == r:
-                        zw.extend([(r, r)] * mu)
-                    else:
-                        zw.extend([(r, r)] * f[r - 1])
-                        zw.append((r, sigma[r - 1]))
-                        zw.extend([(r, r)] * (mu - 1 - f[r - 1]))
+            # row r of zeta_f is (r, r)^f_r (r, sigma(r)) (r, r)^(mu-1-f_r);
+            # a fixed row is (r, r)^mu whatever f_r, so it takes f_r = 0
+            for f in product(*(range(mu) if sigma[r] != r + 1 else (0,)
+                               for r in range(n))):
+                zw = tuple(g for r in range(1, n + 1)
+                           for g in [(r, r)] * f[r - 1] + [(r, sigma[r - 1])]
+                           + [(r, r)] * (mu - 1 - f[r - 1]))
                 # the zeta leg row-reorders onto the comparing basis without
                 # extra terms, contributing a single power of q
-                exp = _expand(tuple(zw))
+                exp = _expand(zw)
                 assert len(exp) == 1 and pseudo_word(theta) in exp
                 lam = exp[pseudo_word(theta)]
                 for tau, c in _eta_reduction(n, mu, sigma, f).items():

@@ -11,7 +11,7 @@ import itertools
 import json
 import time
 
-from .algebra import LETTER_TO_GEN, AlgebraElement, star_gen
+from .algebra import LETTER_TO_GEN, AlgebraElement, minor_star
 from .corep import _Q2, _Q4, _gram_double_sum
 from .haar import haar_ref, haar_state
 from .scalars import ONE, ZERO, poch, q_binomial, qq
@@ -109,8 +109,9 @@ def _h(parts):
     """haar_state of a product of (letter, power, starred) factors."""
     x = AlgebraElement.unit(3)
     for ch, p, starred in parts:
-        make = star_gen if starred else AlgebraElement.gen
-        g = make(3, *LETTER_TO_GEN[ch])
+        i, j = LETTER_TO_GEN[ch]
+        g = (minor_star(3, (i,), (j,)) if starred
+             else AlgebraElement.gen(3, i, j))
         for _ in range(p):
             x = x * g
     return haar_state(x)
@@ -167,6 +168,9 @@ def _disp_no_c(d1, d2, c1):
 
 
 def _single_sum_a(d1, d2, c1, c2, k, shift):
+    # the hg displays' sum over i <= d2 - k, with q^((2 c2 + 2 c3 + 2 s) i)
+    # poch(1, c3 + d2 - i) poch(1, d3 + i), is this one at
+    # (c3, c2, d3, d2, k, s), by substitution
     total = ZERO
     for i in range(c2 - k + 1):
         total = total + (qq(2 * (d1 + d2 + shift) * i) * poch(1, c1 + i)
@@ -264,15 +268,6 @@ def _disp_g_offdiag(d3, c2, c3):
     return got == want
 
 
-def _single_sum_b(d2, d3, c2, c3, k, shift):
-    total = ZERO
-    for i in range(d2 - k + 1):
-        total = total + (qq((2 * c2 + 2 * c3 + shift) * i)
-                         * poch(1, c3 + d2 - i) * poch(1, d3 + i)
-                         * q_binomial(d2 - k, i))
-    return total
-
-
 def _disp_hg_square(d2, d3, c2, c3):
     got = _h([("h", d2, 1), ("g", d3, 1), ("b", c2, 0), ("c", c3, 0),
               ("c", c3, 1), ("b", c2, 1), ("g", d3, 0), ("h", d2, 0)])
@@ -280,7 +275,7 @@ def _disp_hg_square(d2, d3, c2, c3):
             * _Q2 * _Q2 * _Q4 * poch(1, c2) * poch(1, d2)
             / (poch(1, c2 + c3 + 1) * poch(1, d2 + d3 + 1)
                * poch(d3 + c2 + c3 + 2, d2 + 1))
-            * _single_sum_b(d2, d3, c2, c3, 0, 2))
+            * _single_sum_a(c3, c2, d3, d2, 0, 1))
     return got == want
 
 
@@ -292,7 +287,7 @@ def _disp_hg_offdiag(d2, d3, c2, c3):
              * _Q2 * _Q2 * _Q4 * poch(1, c2) * poch(1, d2 + 1)
              / (poch(1, c2 + c3 + 1) * poch(1, d2 + d3 + 1)
                 * poch(d3 + c2 + c3 + 1, d2 + 2))
-             * _single_sum_b(d2, d3, c2, c3, 0, 0))
+             * _single_sum_a(c3, c2, d3, d2, 0, 0))
     return got == want
 
 
@@ -305,7 +300,7 @@ def _disp_chain_k_start(d2, d3, c2, c3, k):
             * _Q2 * _Q2 * _Q4 * poch(1, c2) * poch(1, d2)
             / (poch(1, c2 + c3 + 1) * poch(1, d2 + d3 + 1)
                * poch(d3 + c2 + c3 + 2, d2 + 1))
-            * _single_sum_b(d2, d3, c2, c3, k, 2))
+            * _single_sum_a(c3, c2, d3, d2, k, 1))
     return got == want
 
 

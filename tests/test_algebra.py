@@ -126,6 +126,19 @@ def test_long_word_without_deep_recursion():
     assert got == expected
 
 
+def test_determinant_power_without_deep_recursion():
+    # D_q^m at rank 1 is x11^m; m well above the recursion limit
+    m = 1500
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = quantum_determinant_power(1, m)
+    finally:
+        sys.setrecursionlimit(limit)
+        quantum_determinant_power.cache_clear()
+    assert got == E.word(1, [(1, 1)] * m)
+
+
 def test_coefficient_types():
     # the rewriter works on Laurent polynomials; elements keep QRational
     word = ((3, 3), (2, 2), (1, 1), (1, 2))
@@ -280,6 +293,33 @@ def test_negative_determinant_power_rejected():
         quantum_determinant_power(2, -1)
     with pytest.raises(ValueError):
         enumerate_Bnm(3, -1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_rank_below_one_rejected(n):
+    # a ValueError where the rank enters, not an IndexError further down
+    with pytest.raises(ValueError):
+        E.unit(n)
+    with pytest.raises(ValueError):
+        E(n, {(((1, 1),), 0): ONE})
+    with pytest.raises(ValueError):
+        enumerate_Bnm(n, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generator_star_and_antipode(n):
+    # x_ij^* = (-q)^(j-i) minor(rows != i, cols != j) det^-1 and
+    # S(x_ij) = (-q)^(i-j) minor(rows != j, cols != i) det^-1
+    det1 = E.det_inv(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            g = E.gen(n, i, j)
+            want = quantum_minor(n, _complement(n, (i,)),
+                                 _complement(n, (j,))) * det1
+            assert star(g) == want.scale(_neg_q_power(j - i))
+            want = quantum_minor(n, _complement(n, (j,)),
+                                 _complement(n, (i,))) * det1
+            assert antipode(g) == want.scale(_neg_q_power(i - j))
 
 
 def test_minor_coproduct():

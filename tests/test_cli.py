@@ -191,6 +191,13 @@ def test_exit_codes():
     assert run(["solve", "--n", "2", "--m", "-1"])[0] == 6
     assert run(["table", "--m", "-1"])[0] == 6
     assert run(["verify", "--suite", "s-sum", "--bound", "-3"])[0] == 2
+    # a rank below 1
+    assert run(["eval", "2", "--n", "0"])[0] == 2
+    assert run(["eval", "2", "--n", "-1"])[0] == 2
+    assert run(["solve", "--n", "0", "--m", "1",
+                "--override-feasibility"])[0] == 2
+    assert run(["table", "--n", "0", "--m", "1",
+                "--override-feasibility"])[0] == 2
     # gram reads no rank: rank 3 is fixed, so --n is not an option
     assert run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1", "--n", "4"])[0] \
         == 2

@@ -24,10 +24,14 @@ def perm_matrix(sigma):
 
 
 def test_enumeration_counts():
-    assert len(enumerate_Bnm(1, 5)) == 1
     for m in range(6):
+        assert enumerate_Bnm(1, m) == [((m,),)]
+        assert len(enumerate_Bnm(2, m)) == m + 1
         assert len(enumerate_Bnm(3, m)) == \
             (m + 1) * (m + 2) * (m * m + 3 * m + 4) // 8
+    assert len(enumerate_Bnm(4, 2)) == 282
+    assert len(enumerate_Bnm(4, 3)) == 2008
+    assert len(enumerate_Bnm(5, 2)) == 6210
     perms = enumerate_Bnm(3, 1)
     assert len(perms) == 6
     assert all(stochastic_order(theta) == 1 for theta in perms)

@@ -1,10 +1,11 @@
 """The q-series identity suite."""
 
 import json
+from itertools import product
 
-from qhaar.scalars import ONE, qq
+from qhaar.scalars import ONE, ZERO, poch, q_binomial, qq
 from qhaar.verify import (IdentityReport, check_S_sum, check_paper_computations,
-                          check_prop_5_3, _double_sum, _s_sum)
+                          check_prop_5_3, _double_sum, _s_sum, _single_sum_a)
 
 
 def test_s_sum_values():
@@ -64,3 +65,23 @@ def test_immutable_report():
         pass
     else:
         raise AssertionError("report should be immutable")
+
+
+def test_hg_single_sum_is_single_sum_a():
+    # the sum the hg-square, hg-offdiagonal and bc-chain-start displays
+    # write, summed over i <= d2 - k, against _single_sum_a with the roles
+    # of (d1, d2, c1, c2) taken by (c3, c2, d3, d2) and half the shift
+    def single_sum_b(d2, d3, c2, c3, k, shift):
+        total = ZERO
+        for i in range(d2 - k + 1):
+            total = total + (qq((2 * c2 + 2 * c3 + shift) * i)
+                             * poch(1, c3 + d2 - i) * poch(1, d3 + i)
+                             * q_binomial(d2 - k, i))
+        return total
+
+    for d2, d3, c2, c3, k in product(range(3), repeat=5):
+        if k > d2:
+            continue
+        for shift in (0, 2):
+            assert single_sum_b(d2, d3, c2, c3, k, shift) == \
+                _single_sum_a(c3, c2, d3, d2, k, shift // 2)
