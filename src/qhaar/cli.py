@@ -7,11 +7,15 @@ Grammar:
     term   := factor ('*'? factor)*
     factor := atom ('^' ('*' | '-'? int))?
     atom   := letter | 'x[' int ',' int ']' | 'det' | 'Det' | 'q'
-            | '(' expr ')' | rational
+            | '(' expr ')' | int ('/' int)?
 
-'det' must carry a negative exponent (det_q^{-1} powers); 'Det' is D_q.
-'^*' is the star of a single generator.  Letters i and j are reserved for
-indices, matching the rank-3 alias matrix a..k.
+The parser evaluates as it reads: `parse(text, n)` returns the
+AlgebraElement of O(U_q(n)) that the text denotes.  'det' must carry a
+negative exponent (det_q^{-1} powers); 'Det' is D_q.  '^*' is the star of
+a single generator; a negative exponent applies only to det, q or a
+number, and a zero literal takes none.  Letters i and j are reserved for
+indices, matching the rank-3 alias matrix a..k.  Every ParseError names
+the position of the offending token.
 """
 
 import argparse
@@ -26,7 +30,7 @@ from .corep import (_SIZE_CAP, EmptyWeightSpaceError, gram_matrix,
 from .haar import _pseudo_index_from_theta, haar_pseudo, haar_state
 from .linsys import (FeasibilityError, VerificationError, build_system,
                      enumerate_Bnm, solve_system, source_matrix_solve)
-from .scalars import QRational, evaluate_numeric, qq
+from .scalars import QRational, qq
 from .verify import check_S_sum, check_paper_computations, check_prop_5_3
 
 EXIT_OK = 0
@@ -48,12 +52,14 @@ class ParseError(Exception):
 
 
 class _Parser:
-    def __init__(self, text):
+    def __init__(self, text, n):
         self.text = text
         self.pos = 0
+        self.n = n
+        self.unit = AlgebraElement.unit(n)
 
-    def error(self, message):
-        raise ParseError(message, self.pos)
+    def error(self, message, pos=None):
+        raise ParseError(message, self.pos if pos is None else pos)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -78,70 +84,82 @@ class _Parser:
         return int(self.text[start:self.pos])
 
     def expr(self):
-        parts = [("+", self.term())]
+        out = self.term()
         while self.peek() in ("+", "-"):
             sign = self.peek()
             self.pos += 1
-            parts.append((sign, self.term()))
-        return ("sum", tuple(parts))
+            out = out + self.term() if sign == "+" else out - self.term()
+        return out
 
     def term(self):
-        factors = [self.factor()]
+        out = self.factor()
         while True:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                factors.append(self.factor())
+                out = out * self.factor()
             elif ch and (ch.isalnum() or ch == "("):
-                factors.append(self.factor())
+                out = out * self.factor()
             else:
-                break
-        return ("prod", tuple(factors))
+                return out
 
     def factor(self):
-        atom = self.atom()
-        if self.peek() == "^":
+        self.skip_ws()
+        start = self.pos
+        kind, value = self.atom()
+        if self.peek() != "^":
+            if kind == "det":
+                self.error("det takes a negative exponent; use Det for D_q",
+                           start)
+            return self.unit.scale(value) if kind == "scalar" else value
+        self.pos += 1
+        if self.peek() == "*":
             self.pos += 1
-            if self.peek() == "*":
-                self.pos += 1
-                if atom[0] != "gen":
-                    self.error("^* applies only to single generators")
-                return ("star", atom)
-            neg = False
-            if self.peek() == "-":
-                self.pos += 1
-                neg = True
-            e = self.integer()
-            e = -e if neg else e
-            if atom[0] == "det":
-                if e >= 0:
-                    self.error("det takes a negative exponent; "
-                               "use Det for D_q")
-                return ("detinv", -e)
-            return ("pow", atom, e)
-        if atom[0] == "det":
-            self.error("det takes a negative exponent; use Det for D_q")
-        return atom
+            if kind != "gen":
+                self.error("^* applies only to single generators", start)
+            return star(value)
+        neg = False
+        if self.peek() == "-":
+            self.pos += 1
+            neg = True
+        e = self.integer()
+        e = -e if neg else e
+        if kind == "det":
+            if e >= 0:
+                self.error("det takes a negative exponent; use Det for D_q",
+                           start)
+            return AlgebraElement.det_inv(self.n, -e)
+        if kind == "scalar":
+            if e < 0 and value.is_zero():
+                self.error("zero has no negative power", start)
+            return self.unit.scale(value ** e)
+        if e < 0:
+            self.error("negative exponent only on det, q or a number", start)
+        return value ** e
 
     def atom(self):
+        """(kind, value): a generator, det, a scalar, or an element."""
         ch = self.peek()
+        start = self.pos
         if ch == "(":
             self.pos += 1
             inner = self.expr()
             self.take(")")
-            return inner
+            return "element", inner
         if ch.isdigit():
-            num = self.integer()
+            num, den = self.integer(), 1
             if self.peek() == "/":
                 self.pos += 1
-                return ("scalar", num, self.integer())
-            return ("scalar", num, 1)
+                den = self.integer()
+            if den == 0:
+                self.error("zero denominator", start)
+            return "scalar", QRational.from_int(num) / den
         if self.text.startswith("det", self.pos):
             self.pos += 3
-            return ("det",)
+            return "det", None
         if self.text.startswith("Det", self.pos):
             self.pos += 3
-            return ("Det",)
+            return "element", quantum_determinant(self.n)
         if ch == "x":
             self.pos += 1
             self.take("[")
@@ -149,129 +167,55 @@ class _Parser:
             self.take(",")
             j = self.integer()
             self.take("]")
-            return ("gen", i, j)
-        if ch == "q":
+        elif ch == "q":
             self.pos += 1
-            return ("q",)
-        if ch.isalpha():
+            return "scalar", qq(1)
+        elif ch.isalpha():
             if ch in "ij":
                 self.error("letters i and j are reserved for indices")
             if ch not in LETTER_TO_GEN:
                 self.error("unknown generator %r" % ch)
             self.pos += 1
-            return ("gen",) + LETTER_TO_GEN[ch]
-        self.error("unexpected character %r" % ch)
+            i, j = LETTER_TO_GEN[ch]
+        else:
+            self.error("unexpected character %r" % ch)
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            self.error("generator x[%d,%d] out of range for rank %d"
+                       % (i, j, self.n), start)
+        return "gen", AlgebraElement.gen(self.n, i, j)
 
 
-def parse(text):
-    p = _Parser(text)
-    tree = p.expr()
+def parse(text, n=3):
+    """The element of O(U_q(n)) that `text` denotes."""
+    p = _Parser(text, n)
+    try:
+        x = p.expr()
+    except RecursionError:
+        p.error("expression nested too deeply")
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input")
-    return tree
-
-
-def ast_to_str(node):
-    kind = node[0]
-    if kind == "sum":
-        bits = []
-        for sign, term in node[1]:
-            if bits or sign == "-":
-                bits.append(sign)
-            bits.append(ast_to_str(term))
-        return " ".join(bits)
-    if kind == "prod":
-        return " ".join("(%s)" % ast_to_str(f) if f[0] == "sum"
-                        else ast_to_str(f) for f in node[1])
-    if kind == "pow":
-        base = ast_to_str(node[1])
-        if node[1][0] == "sum":
-            base = "(%s)" % base
-        return "%s^%d" % (base, node[2])
-    if kind == "star":
-        return ast_to_str(node[1]) + "^*"
-    if kind == "detinv":
-        return "det^-%d" % node[1]
-    if kind == "Det":
-        return "Det"
-    if kind == "q":
-        return "q"
-    if kind == "gen":
-        return "x[%d,%d]" % node[1:]
-    if kind == "scalar":
-        return str(node[1]) if node[2] == 1 else "%d/%d" % node[1:]
-    raise ValueError("bad node %r" % (node,))
-
-
-def ast_to_element(node, n):
-    kind = node[0]
-    if kind == "sum":
-        out = AlgebraElement.zero(n)
-        for sign, term in node[1]:
-            piece = ast_to_element(term, n)
-            out = out + piece if sign == "+" else out - piece
-        return out
-    if kind == "prod":
-        out = AlgebraElement.unit(n)
-        for f in node[1]:
-            out = out * ast_to_element(f, n)
-        return out
-    if kind == "pow":
-        base, e = node[1], node[2]
-        if base[0] == "q":
-            return AlgebraElement.unit(n).scale(qq(e))
-        if base[0] == "scalar":
-            c = Fraction(base[1], base[2]) ** e
-            return AlgebraElement.unit(n).scale(_fraction_scalar(c))
-        if e < 0:
-            raise ParseError("negative exponent only on det or q", 0)
-        return ast_to_element(base, n) ** e
-    if kind == "star":
-        _, i, j = node[1]
-        _check_gen(n, i, j)
-        return star(AlgebraElement.gen(n, i, j))
-    if kind == "detinv":
-        return AlgebraElement.det_inv(n, node[1])
-    if kind == "Det":
-        return quantum_determinant(n)
-    if kind == "q":
-        return AlgebraElement.unit(n).scale(qq(1))
-    if kind == "gen":
-        _check_gen(n, node[1], node[2])
-        return AlgebraElement.gen(n, node[1], node[2])
-    if kind == "scalar":
-        return AlgebraElement.unit(n).scale(
-            _fraction_scalar(Fraction(node[1], node[2])))
-    raise ValueError("bad node %r" % (node,))
-
-
-def _fraction_scalar(frac):
-    return (QRational.from_int(frac.numerator)
-            / QRational.from_int(frac.denominator))
-
-
-def _check_gen(n, i, j):
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ParseError("generator x[%d,%d] out of range for rank %d"
-                         % (i, j, n), 0)
+    return x
 
 
 # ---------------------------------------------------------------------
 # output helpers
 
 
+def _scalar_text(x, at_q):
+    """A scalar as text: exact, or its value at q = at_q."""
+    return str(x) if at_q is None else str(x.evaluate_numeric(at_q))
+
+
 def _render_value(x, fmt, at_q):
-    if at_q is not None:
-        v = evaluate_numeric(x, at_q)
-        if fmt == "json":
-            return json.dumps({"value": [v.numerator, v.denominator]})
-        return str(v)
     if fmt == "json":
-        return json.dumps({"value": x.to_pairs()})
-    if fmt == "latex":
+        if at_q is None:
+            return json.dumps({"value": x.to_pairs()})
+        v = x.evaluate_numeric(at_q)
+        return json.dumps({"value": [v.numerator, v.denominator]})
+    if fmt == "latex" and at_q is None:
         return "\\frac{%s}{%s}" % (x.num, x.den)
-    return str(x)
+    return _scalar_text(x, at_q)
 
 
 def _render_rows(header, rows, fmt):
@@ -293,26 +237,19 @@ def _render_rows(header, rows, fmt):
     return "\n".join(lines)
 
 
-def _scalar_cell(x, at_q):
-    return str(evaluate_numeric(x, at_q)) if at_q is not None else str(x)
-
-
 # ---------------------------------------------------------------------
 # commands
 
 
 def _cmd_eval(args):
-    try:
-        x = ast_to_element(parse(args.expression), args.n)
-    except RecursionError:
-        raise ParseError("expression nested too deeply", 0)
+    x = parse(args.expression, args.n)
     return _render_value(haar_state(x), args.format, args.at_q)
 
 
 def _system_rows(args):
     sysm = solve_system(build_system(args.n, args.m,
                                      args.override_feasibility))
-    return [(json.dumps(theta), _scalar_cell(value, args.at_q))
+    return [(json.dumps(theta), _scalar_text(value, args.at_q))
             for theta, value in sorted(sysm.items())]
 
 
@@ -325,41 +262,13 @@ def _cmd_table(args):
             m, s, r, l, t = _pseudo_index_from_theta(theta)
             word = "".join(GEN_TO_LETTER[g] for g in pseudo_word(theta))
             value = haar_pseudo(m, s, r, l, t)
-            rows.append((word, _scalar_cell(value, args.at_q)))
+            rows.append((word, _scalar_text(value, args.at_q)))
     return _render_rows(["monomial", "value"], rows, args.format)
-
-
-def _parse_triple(text, what):
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ParseError("bad %s %r" % (what, text), 0)
-    if len(parts) != 3:
-        raise ParseError("%s needs three comma-separated integers" % what, 0)
-    return parts
-
-
-def _parse_lambda(text):
-    lam = _parse_triple(text, "lambda")
-    if not lam[0] >= lam[1] >= lam[2]:
-        raise ParseError("lambda must be weakly decreasing", 0)
-    return lam
-
-
-def _parse_at_q(text):
-    try:
-        q0 = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("--at-q takes an exact rational", 0)
-    if q0 <= 0:
-        raise ParseError("--at-q must be positive", 0)
-    return q0
 
 
 def _closed_gram(args):
     side = ("right_comodule" if args.side == "R" else "left_comodule")
-    return gram_matrix(_parse_lambda(args.lam), _parse_triple(args.mu, "mu"),
-                       args.form, side, method="closed")
+    return gram_matrix(args.lam, args.mu, args.form, side, method="closed")
 
 
 def _cmd_gram(args):
@@ -372,11 +281,11 @@ def _cmd_gram(args):
         data = g.to_json_dict()
         data["methods_agree"] = agree
         if args.at_q is not None:
-            data["entries"] = [[str(evaluate_numeric(e, args.at_q))
-                                for e in row] for row in g.entries]
+            data["entries"] = [[_scalar_text(e, args.at_q) for e in row]
+                               for row in g.entries]
         return json.dumps(data)
     header = ["v%d" % i for i in range(g.dim())]
-    rows = [tuple(_scalar_cell(e, args.at_q) for e in row)
+    rows = [tuple(_scalar_text(e, args.at_q) for e in row)
             for row in g.entries]
     out = _render_rows(header, rows, args.format)
     if agree is not None:
@@ -394,8 +303,8 @@ def _cmd_ortho(args):
                           for row in transform],
             "norms_sq": [s.to_pairs() for s in norms],
         })
-    rows = [tuple(_scalar_cell(c, args.at_q) for c in row)
-            + (_scalar_cell(s, args.at_q),)
+    rows = [tuple(_scalar_text(c, args.at_q) for c in row)
+            + (_scalar_text(s, args.at_q),)
             for row, s in zip(transform, norms)]
     header = ["t%d" % i for i in range(len(norms))]
     header.append("norm^2 (sqrt pending)" if args.at_q is not None
@@ -404,8 +313,7 @@ def _cmd_ortho(args):
 
 
 def _cmd_dim(args):
-    lam = _parse_lambda(args.lam)
-    return _render_value(quantum_dimension(lam), args.format, args.at_q)
+    return _render_value(quantum_dimension(args.lam), args.format, args.at_q)
 
 
 def _cmd_solve(args):
@@ -422,10 +330,8 @@ def _cmd_verify(args):
         reports = [check_S_sum(args.bound, args.bound)]
     elif args.suite == "double-sum":
         reports = [check_prop_5_3(args.bound, args.bound)]
-    elif args.suite == "displays":
-        reports = check_paper_computations()
     else:
-        raise ParseError("unknown suite %r" % args.suite, 0)
+        reports = check_paper_computations()
     failed = any(not r.ok() for r in reports)
     text = "\n".join(r.to_json() for r in reports)
     return text, failed
@@ -452,6 +358,36 @@ def _positive_int(text):
     return int(text)
 
 
+def _triple(text):
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(
+            "expected three comma-separated integers, got %r" % text)
+    return parts
+
+
+def _lambda(text):
+    lam = _triple(text)
+    if not lam[0] >= lam[1] >= lam[2]:
+        raise argparse.ArgumentTypeError(
+            "lambda must be weakly decreasing, got %r" % text)
+    return lam
+
+
+def _at_q(text):
+    try:
+        q0 = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        q0 = None
+    if q0 is None or q0 <= 0:
+        raise argparse.ArgumentTypeError(
+            "expected an exact positive rational, got %r" % text)
+    return q0
+
+
 def _build_argparser():
     top = argparse.ArgumentParser(prog="qhaar")
     sub = top.add_subparsers(dest="command", required=True)
@@ -459,7 +395,7 @@ def _build_argparser():
     def output(p):
         p.add_argument("--format", default="text",
                        choices=["json", "csv", "latex", "text"])
-        p.add_argument("--at-q", dest="at_q", default=None)
+        p.add_argument("--at-q", dest="at_q", type=_at_q, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("eval")
@@ -475,16 +411,17 @@ def _build_argparser():
         output(p)
     for name in ("gram", "ortho"):
         p = sub.add_parser(name)
-        p.add_argument("--lambda", dest="lam", required=True)
-        p.add_argument("--mu", required=True)
+        p.add_argument("--lambda", dest="lam", type=_lambda, required=True)
+        p.add_argument("--mu", type=_triple, required=True)
         p.add_argument("--side", default="R", choices=["L", "R"])
         p.add_argument("--form", default="L", choices=["L", "R"])
         output(p)
     p = sub.add_parser("dim")
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--lambda", dest="lam", type=_lambda, required=True)
     output(p)
     p = sub.add_parser("verify")
-    p.add_argument("--suite", required=True)
+    p.add_argument("--suite", required=True,
+                   choices=["s-sum", "double-sum", "displays"])
     p.add_argument("--bound", type=_nonnegative_int, default=6)
     p.add_argument("--out", default=None)
     return top
@@ -499,8 +436,6 @@ def run_command(argv, stdout=None):
         return EXIT_PARSE if e.code else EXIT_OK
     failed = False
     try:
-        if getattr(args, "at_q", None) is not None:
-            args.at_q = _parse_at_q(args.at_q)
         out = _COMMANDS[args.command](args)
         if isinstance(out, tuple):
             out, failed = out

@@ -2,22 +2,41 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhaar.algebra import AlgebraElement, star
+from qhaar.algebra import (LETTER_TO_GEN, AlgebraElement, quantum_determinant,
+                           star)
 from qhaar import cli
-from qhaar.cli import (ParseError, ast_to_element, ast_to_str, parse,
-                       run_command)
+from qhaar.cli import ParseError, parse, run_command
 from qhaar.linsys import VerificationError
 from qhaar.haar import haar_state
-from qhaar.scalars import qq
+from qhaar.scalars import QRational, qq
 
-ROUND_TRIP = [
-    "a", "a b", "a * b", "c e g det^-1", "a^2 b^3 det^-2",
-    "(a e - q b d)", "a^* b", "x[1,3] x[2,2] x[3,1] det^-1",
-    "q^2 a + q^-1 b", "2 a", "1/2 a b", "Det det^-1",
-    "(a + b)(c + d)", "a - b - c", "a^* a + b^* b + c^* c",
-    "q^-3 (a e - q b d)^2 det^-2", "3/7", "x[2,2]^2 det^-1 a",
-]
+E = AlgebraElement
+a, b, c, d, e, g = (E.gen(3, *LETTER_TO_GEN[ch]) for ch in "abcdeg")
+D1, D2 = E.det_inv(3, 1), E.det_inv(3, 2)
+
+CORPUS = {
+    "a": a,
+    "a b": a * b,
+    "a * b": a * b,
+    "c e g det^-1": c * e * g * D1,
+    "a^2 b^3 det^-2": a ** 2 * b ** 3 * D2,
+    "(a e - q b d)": a * e - (b * d).scale(qq(1)),
+    "a^* b": star(a) * b,
+    "x[1,3] x[2,2] x[3,1] det^-1": c * e * g * D1,
+    "q^2 a + q^-1 b": a.scale(qq(2)) + b.scale(qq(-1)),
+    "2 a": 2 * a,
+    "1/2 a b": (a * b).scale(QRational.from_int(1) / 2),
+    "Det det^-1": quantum_determinant(3) * D1,
+    "(a + b)(c + d)": (a + b) * (c + d),
+    "a - b - c": a - b - c,
+    "a^* a + b^* b + c^* c": star(a) * a + star(b) * b + star(c) * c,
+    "q^-3 (a e - q b d)^2 det^-2":
+        ((a * e - (b * d).scale(qq(1))) ** 2 * D2).scale(qq(-3)),
+    "3/7": E.unit(3).scale(QRational.from_int(3) / 7),
+    "x[2,2]^2 det^-1 a": e ** 2 * D1 * a,
+}
 
 
 def run(argv):
@@ -26,20 +45,88 @@ def run(argv):
     return code, buf.getvalue()
 
 
-def test_parse_round_trip():
-    for text in ROUND_TRIP:
-        tree = parse(text)
-        printed = ast_to_str(tree)
-        assert parse(printed) == tree, text
+def test_parse_corpus():
+    for text, want in CORPUS.items():
+        assert parse(text) == want, text
+
+
+# A random expression tree, drawn once and read two ways: as the text the
+# parser reads and as the element built through the AlgebraElement API.
+# Each node is (text, element, binding): 3 an atom, 2 a factor, 1 a term,
+# 0 a sum; a child that binds more loosely than its slot is parenthesized.
+
+
+def _wrap(node, binding):
+    text, _, own = node
+    return text if own >= binding else "(%s)" % text
+
+
+def _scalar(num, den):
+    return E.unit(3).scale(QRational.from_int(num) / den)
+
+
+_leaves = st.one_of(
+    st.sampled_from(sorted(LETTER_TO_GEN)).map(
+        lambda ch: (ch, E.gen(3, *LETTER_TO_GEN[ch]), 3)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+        lambda ij: ("x[%d,%d]" % ij, E.gen(3, *ij), 3)),
+    st.sampled_from(sorted(LETTER_TO_GEN)).map(
+        lambda ch: (ch + "^*", star(E.gen(3, *LETTER_TO_GEN[ch])), 2)),
+    st.just(("q", E.unit(3).scale(qq(1)), 3)),
+    st.integers(-3, 3).map(lambda k: ("q^%d" % k, E.unit(3).scale(qq(k)), 2)),
+    st.integers(0, 9).map(lambda k: ("%d" % k, _scalar(k, 1), 3)),
+    st.tuples(st.integers(0, 9), st.integers(1, 9)).map(
+        lambda r: ("%d/%d" % r, _scalar(*r), 3)),
+    st.integers(1, 3).map(lambda k: ("det^-%d" % k, E.det_inv(3, k), 2)),
+)
+
+
+def _combine(children):
+    def node(op, left, right):
+        if op == "+":
+            return ("%s + %s" % (_wrap(left, 0), _wrap(right, 1)),
+                    left[1] + right[1], 0)
+        if op == "-":
+            return ("%s - %s" % (_wrap(left, 0), _wrap(right, 1)),
+                    left[1] - right[1], 0)
+        return ("%s%s%s" % (_wrap(left, 1), op, _wrap(right, 2)),
+                left[1] * right[1], 1)
+
+    def power(base, k):
+        return ("%s^%d" % (_wrap(base, 3), k), base[1] ** k, 2)
+
+    return st.one_of(
+        st.builds(node, st.sampled_from(["+", "-", " ", " * "]),
+                  children, children),
+        st.builds(power, children, st.integers(0, 2)))
+
+
+expressions = st.recursive(_leaves, _combine, max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions)
+def test_parse_matches_api(node):
+    text, want, _ = node
+    assert parse(text) == want, text
+
+
+def test_parse_error_positions():
+    # a check on a factor names the start of its atom
+    for text, pos in [("a b x[4,1]", 4), ("a b^-2", 2), ("a + b^-2", 4),
+                      ("1/0", 0), ("a 0^-1", 2), ("a (b)^*", 2),
+                      ("a det", 2), ("a det^2", 2), ("a +", 3)]:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.pos == pos, text
 
 
 def test_parse_alias_matches_matrix_entry():
-    assert ast_to_element(parse("c e g det^-1"), 3) == \
-        ast_to_element(parse("x[1,3] x[2,2] x[3,1] det^-1"), 3)
+    assert parse("c e g det^-1") == parse("x[1,3] x[2,2] x[3,1] det^-1")
 
 
 def test_parse_minor_expression():
-    got = ast_to_element(parse("(a e - q b d)"), 3)
+    got = parse("(a e - q b d)")
     want = (AlgebraElement.gen(3, 1, 1) * AlgebraElement.gen(3, 2, 2)
             - (AlgebraElement.gen(3, 1, 2)
                * AlgebraElement.gen(3, 2, 1)).scale(qq(1)))
@@ -47,8 +134,8 @@ def test_parse_minor_expression():
 
 
 def test_parse_star_and_scalars():
-    assert ast_to_element(parse("a^*"), 3) == star(AlgebraElement.gen(3, 1, 1))
-    assert ast_to_element(parse("1/2 q^2"), 3) == \
+    assert parse("a^*") == star(AlgebraElement.gen(3, 1, 1))
+    assert parse("1/2 q^2") == \
         AlgebraElement.unit(3).scale(qq(2) / (qq(0) + qq(0)))
 
 
@@ -56,14 +143,13 @@ def test_parse_errors():
     for bad in ["", "a + + b", "det", "det^2", "(a", "a^* ^*", "(a+b)^*",
                 "x[1]", "x[0,1]", "z", "i", "q^"]:
         with pytest.raises(ParseError):
-            parse(bad) if bad not in ("x[0,1]",) else \
-                ast_to_element(parse(bad), 3)
+            parse(bad)
 
 
 def test_eval_matches_haar_state():
     code, out = run(["eval", "c e g det^-1"])
     assert code == 0
-    x = ast_to_element(parse("c e g det^-1"), 3)
+    x = parse("c e g det^-1")
     assert out.strip() == str(haar_state(x))
 
 
@@ -71,7 +157,7 @@ def test_eval_json_and_at_q():
     code, out = run(["eval", "a a^*", "--format", "json", "--at-q", "1/4"])
     assert code == 0
     num, den = json.loads(out)["value"]
-    x = ast_to_element(parse("a a^*"), 3)
+    x = parse("a a^*")
     from qhaar.scalars import evaluate_numeric
     from fractions import Fraction
     assert Fraction(num, den) == evaluate_numeric(haar_state(x),
@@ -176,6 +262,9 @@ def test_verify_suites():
 def test_exit_codes():
     assert run(["eval", "a + + b"])[0] == 2
     assert run(["eval", "x[4,1]"])[0] == 2
+    # a zero denominator or a zero base under a negative power
+    assert run(["eval", "1/0"])[0] == 2
+    assert run(["eval", "0^-1"])[0] == 2
     assert run(["eval", "a", "--at-q", "q"])[0] == 2
     assert run(["solve", "--n", "3", "--m", "9"])[0] == 3
     assert run(["eval", "x[1,1]^2 x[2,2]^2 x[3,3]^2 x[4,4]^2 x[5,5]^2 det^-2",
@@ -191,6 +280,7 @@ def test_exit_codes():
     assert run(["solve", "--n", "2", "--m", "-1"])[0] == 6
     assert run(["table", "--m", "-1"])[0] == 6
     assert run(["verify", "--suite", "s-sum", "--bound", "-3"])[0] == 2
+    assert run(["verify", "--suite", "nope"])[0] == 2
     # a rank below 1
     assert run(["eval", "2", "--n", "0"])[0] == 2
     assert run(["eval", "2", "--n", "-1"])[0] == 2
