@@ -84,18 +84,24 @@ def _insert(high, g):
     return _polys(acc)
 
 
+def _mul_letter(terms, g):
+    """nf(terms g) for a dict terms of canonical words -> LaurentPoly and a
+    generator g: dict canonical word -> LaurentPoly."""
+    acc = {}
+    for t, c in terms.items():
+        s = bisect_right(t, g)
+        low = t[:s]
+        for w, c2 in _insert(t[s:], g).items():
+            _addmul(acc.setdefault(low + w, {}), c, c2)
+    return _polys(acc)
+
+
 def _fold(start, letters):
     """nf(start letters) for a canonical word start, inserting the letters
     one at a time: dict canonical word -> LaurentPoly."""
     terms = {start: _LP_ONE}
     for g in letters:
-        acc = {}
-        for t, c in terms.items():
-            s = bisect_right(t, g)
-            low = t[:s]
-            for w, c2 in _insert(t[s:], g).items():
-                _addmul(acc.setdefault(low + w, {}), c, c2)
-        terms = _polys(acc)
+        terms = _mul_letter(terms, g)
     return terms
 
 
@@ -347,16 +353,23 @@ def quantum_determinant(n):
 
 @cache
 def quantum_determinant_power(n, m):
-    """D_q^m = D_q^(m-1) D_q, expanded and cached.  The lower powers are
-    filled in upwards first, so D_q^(m-1) comes from the cache and no call
-    nests deeper than two levels."""
+    """D_q^m, expanded and cached.  A cold call fills the powers below it in
+    one upward pass of _det_power_step, so it makes O(m) cache lookups and
+    no call nests deeper than two levels."""
     if m < 0:
         raise ValueError("D_q power must be nonnegative")
+    for k in range(m):
+        _det_power_step(n, k)
+    return _det_power_step(n, m)
+
+
+@cache
+def _det_power_step(n, m):
+    """D_q^m = D_q^(m-1) D_q.  quantum_determinant_power calls it for
+    m = 0, 1, 2, ... in turn, so D_q^(m-1) is always a cache hit."""
     if m == 0:
         return AlgebraElement.unit(n)
-    for k in range(1, m - 1):
-        quantum_determinant_power(n, k)
-    return quantum_determinant_power(n, m - 1) * quantum_determinant(n)
+    return _det_power_step(n, m - 1) * quantum_determinant(n)
 
 
 def _complement(n, S):

@@ -10,12 +10,13 @@ Grammar:
             | '(' expr ')' | int ('/' int)?
 
 The parser evaluates as it reads: `parse(text, n)` returns the
-AlgebraElement of O(U_q(n)) that the text denotes.  'det' must carry a
-negative exponent (det_q^{-1} powers); 'Det' is D_q.  '^*' is the star of
-a single generator; a negative exponent applies only to det, q or a
-number, and a zero literal takes none.  Letters i and j are reserved for
-indices, matching the rank-3 alias matrix a..k.  Every ParseError names
-the position of the offending token.
+AlgebraElement of O(U_q(n)) that the text denotes.  A syntax-only pass
+reads the whole text first, so a malformed expression fails before any of
+it is computed.  'det' must carry a negative exponent (det_q^{-1} powers);
+'Det' is D_q.  '^*' is the star of a single generator; a negative exponent
+applies only to det, q or a number, and a zero literal takes none.
+Letters i and j are reserved for indices, matching the rank-3 alias matrix
+a..k.  Every ParseError names the position of the offending token.
 """
 
 import argparse
@@ -51,12 +52,30 @@ class ParseError(Exception):
 # expression parser
 
 
+class _Unevaluated:
+    """The value of every element in the syntax-only pass: arithmetic on it
+    costs nothing and returns it."""
+
+    def __add__(self, other):
+        return self
+
+    __sub__ = __mul__ = __pow__ = __add__
+
+    def scale(self, c):
+        return self
+
+
 class _Parser:
-    def __init__(self, text, n):
+    def __init__(self, text, n, evaluate):
         self.text = text
         self.pos = 0
         self.n = n
-        self.unit = AlgebraElement.unit(n)
+        self.evaluate = evaluate
+        self.unit = self.build(AlgebraElement.unit, n)
+
+    def build(self, f, *args):
+        """f(*args), or a stand-in in the syntax-only pass."""
+        return f(*args) if self.evaluate else _Unevaluated()
 
     def error(self, message, pos=None):
         raise ParseError(message, self.pos if pos is None else pos)
@@ -77,7 +96,7 @@ class _Parser:
     def integer(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
@@ -117,7 +136,7 @@ class _Parser:
             self.pos += 1
             if kind != "gen":
                 self.error("^* applies only to single generators", start)
-            return star(value)
+            return self.build(star, value)
         neg = False
         if self.peek() == "-":
             self.pos += 1
@@ -128,11 +147,11 @@ class _Parser:
             if e >= 0:
                 self.error("det takes a negative exponent; use Det for D_q",
                            start)
-            return AlgebraElement.det_inv(self.n, -e)
+            return self.build(AlgebraElement.det_inv, self.n, -e)
         if kind == "scalar":
             if e < 0 and value.is_zero():
                 self.error("zero has no negative power", start)
-            return self.unit.scale(value ** e)
+            return self.unit.scale(self.build(pow, value, e))
         if e < 0:
             self.error("negative exponent only on det, q or a number", start)
         return value ** e
@@ -146,7 +165,7 @@ class _Parser:
             inner = self.expr()
             self.take(")")
             return "element", inner
-        if ch.isdigit():
+        if ch.isdecimal():
             num, den = self.integer(), 1
             if self.peek() == "/":
                 self.pos += 1
@@ -159,7 +178,7 @@ class _Parser:
             return "det", None
         if self.text.startswith("Det", self.pos):
             self.pos += 3
-            return "element", quantum_determinant(self.n)
+            return "element", self.build(quantum_determinant, self.n)
         if ch == "x":
             self.pos += 1
             self.take("[")
@@ -182,19 +201,21 @@ class _Parser:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             self.error("generator x[%d,%d] out of range for rank %d"
                        % (i, j, self.n), start)
-        return "gen", AlgebraElement.gen(self.n, i, j)
+        return "gen", self.build(AlgebraElement.gen, self.n, i, j)
 
 
 def parse(text, n=3):
-    """The element of O(U_q(n)) that `text` denotes."""
-    p = _Parser(text, n)
-    try:
-        x = p.expr()
-    except RecursionError:
-        p.error("expression nested too deeply")
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
+    """The element of O(U_q(n)) that `text` denotes.  The first pass only
+    checks the text, so every ParseError comes before any computation."""
+    for evaluate in (False, True):
+        p = _Parser(text, n, evaluate)
+        try:
+            x = p.expr()
+        except RecursionError:
+            p.error("expression nested too deeply")
+        p.skip_ws()
+        if p.pos != len(text):
+            p.error("trailing input")
     return x
 
 

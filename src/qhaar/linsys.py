@@ -5,6 +5,13 @@ quantum determinant over the pseudo-basis, builds the full translation
 invariance system of a given order, solves it exactly, and runs the
 recursive Source-matrix scheme that yields h(x_{sigma_0}^m) on O(U_q(n))
 without touching the full system.
+
+The invariance system needs the coproduct of every pseudo-basis word x_M.
+Its left legs are never rewritten: x_M is a product of row blocks, the
+left-leg letters that a row block produces all lie in that row, and
+letters of one row q-commute, so each left leg is a single word up to a
+power of q.  Only the right legs are normal-ordered, row block by row
+block (`_comultiply_filtered`).
 """
 
 from itertools import combinations, permutations, product
@@ -13,7 +20,7 @@ from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
     _addmul, over_common_denominator, qdot
 from .algebra import (counting_matrix, stochastic_order, pseudo_word,
                       quantum_determinant_power, inversions, _expand,
-                      _neg_q_power, _rho_exponent)
+                      _mul_letter, _neg_q_power, _polys, _rho_exponent)
 
 # conservative solvability bounds for the full system and the Source matrix
 _SYSTEM_BOUNDS = {2: 6, 3: 3, 4: 2}
@@ -69,47 +76,106 @@ def detq_power_expand(n, m, override_feasibility=False):
     return out
 
 
+def _arrangements(content):
+    """(k, inv(k)) for every sequence k holding content[c - 1] copies of c,
+    with inv(k) its number of inversions."""
+    if not any(content):
+        yield (), 0
+        return
+    for c, a in enumerate(content):
+        if a:
+            rest = content[:c] + (a - 1,) + content[c + 1:]
+            below = sum(content[:c])
+            for k, inv in _arrangements(rest):
+                yield (c + 1,) + k, inv + below
+
+
+def _times_words(terms, words):
+    """sum_w c_w nf(terms w) for a dict terms of canonical words ->
+    LaurentPoly and a sorted list words of (canonical word, c_w) pairs of
+    equal length, inserting one letter at a time; neighbouring words share
+    the products of their common prefix."""
+    if len(words) == 1:
+        # nothing to sum: scale the one product instead of accumulating it
+        (w, c), = words
+        for g in w:
+            terms = _mul_letter(terms, g)
+        return terms if c == _LP_ONE else {t: c * ct
+                                           for t, ct in terms.items()}
+    acc = {}
+    stack = [terms]     # stack[t] = nf(terms w[:t]) for the last word w
+    prev = ()
+    for w, c in words:
+        p = 0
+        while p < len(prev) and prev[p] == w[p]:
+            p += 1
+        del stack[p + 1:]
+        for g in w[p:]:
+            stack.append(_mul_letter(stack[-1], g))
+        for t, ct in stack[-1].items():
+            _addmul(acc.setdefault(t, {}), c, ct)
+        prev = w
+    return _polys(acc)
+
+
 def _comultiply_filtered(n, m, factors):
-    """Tensor terms of the coproduct of the given order-m word whose legs are
-    both order-m words, with incremental pruning on the right-leg row sums.
-    Returns a dict L -> {K: coefficient}, keyed by the legs' counting
-    matrices (a canonical word is the pseudo-basis word of its matrix)."""
-    # every coefficient is a rewriting polynomial: LaurentPoly until out.
-    # Rewriting keeps each row's letter count, so a leg carries the row
-    # counts of its right word.
-    legs = {((), ()): (_LP_ONE, (0,) * n)}
-    for (i, j) in factors:
-        nxt = {}
-        for (lf, rf), (c, rows) in legs.items():
-            for k in range(n):
-                if rows[k] >= m:
-                    continue
-                bumped = rows[:k] + (rows[k] + 1,) + rows[k + 1:]
-                right = _expand(rf + ((k + 1, j),))
-                for cl, ccl in _expand(lf + ((i, k + 1),)).items():
-                    cc = c * ccl
-                    for cr, ccr in right.items():
-                        entry = nxt.get((cl, cr))
-                        if entry is None:
-                            entry = nxt[(cl, cr)] = ({}, bumped)
-                        _addmul(entry[0], cc, ccr)
-        legs = {}
-        for key, (t, rows) in nxt.items():
-            c = LaurentPoly(t)
-            if c:
-                legs[key] = (c, rows)
-    # Both legs are of order m: no right row passes m and the n m letters
-    # fill them all, the right columns and left rows are those of the word,
-    # and the left columns are the right rows.  One counting matrix per
-    # distinct leg word, checked once.
-    thetas = {}
-    for w in {w for key in legs for w in key}:
-        theta = thetas[w] = counting_matrix(n, w)
-        assert stochastic_order(theta) == m
+    """Tensor terms of the coproduct of the pseudo-word x_M of an order-m
+    matrix M whose legs are both order-m words.  Returns a dict
+    L -> {K: coefficient}, keyed by the legs' counting matrices (a canonical
+    word is the pseudo-basis word of its matrix).
+
+    Delta(x_M) is the sum over all index sequences k of
+    x_{i_1,k_1}...x_{i_N,k_N} (x) x_{k_1,j_1}...x_{k_N,j_N}.  x_M is made of
+    row blocks, and the left-leg letters of row i's block all lie in row i,
+    where they q-commute: their normal form is the single word
+    v^(-2 inv(k)) x_{i,sorted(k)}, and row i of L is the content of k.  So
+    the left leg is never expanded: the x_L part of the coproduct is
+    nf(P_1 ... P_n), where P_i sums v^(-2 inv(k)) x_{k_1,j_1}...x_{k_m,j_m}
+    over the arrangements k of row i of L, and j holds the columns of row i
+    of M.  L is walked row by row, depth first, with each row at most the
+    column room left, so L is of order m; the running right product is
+    multiplied by the normal form of the next P_i, which is built once per
+    call.  Rewriting keeps row and column counts, so every right word has
+    the columns of M and the rows of L's columns: it is of order m too."""
+    assert all(a[0] <= b[0] for a, b in zip(factors, factors[1:]))
+    cols = [tuple(j for (i, j) in factors if i == r)
+            for r in range(1, n + 1)]
+    compositions = [r for r in product(range(m + 1), repeat=n)
+                    if sum(r) == m]
+    blocks = {}     # (row index, content) -> sorted nf(P) as pairs
+    thetas = {}     # right word -> counting matrix
     out = {}
-    for (lf, rf), (c, _rows) in legs.items():
-        out.setdefault(thetas[lf], {})[thetas[rf]] = QRational(
-            c, _LP_ONE, _reduced=True)
+
+    def block(i, content):
+        key = (i, content)
+        if key not in blocks:
+            acc = {}
+            for k, inv in _arrangements(content):
+                shift = LaurentPoly({-2 * inv: 1})
+                for w, c in _expand(tuple(zip(k, cols[i]))).items():
+                    _addmul(acc.setdefault(w, {}), shift, c)
+            blocks[key] = sorted(_polys(acc).items())
+        return blocks[key]
+
+    def walk(i, room, L, terms):
+        if not terms:
+            return
+        if i == n:
+            row = out[L] = {}
+            for w, c in terms.items():
+                theta = thetas.get(w)
+                if theta is None:
+                    theta = thetas[w] = counting_matrix(n, w)
+                    assert stochastic_order(theta) == m
+                row[theta] = QRational(c, _LP_ONE, _reduced=True)
+            return
+        # the last row takes the room left, which sums to m
+        for content in compositions if i < n - 1 else (room,):
+            if all(a <= b for a, b in zip(content, room)):
+                walk(i + 1, tuple(b - a for a, b in zip(content, room)),
+                     L + (content,), _times_words(terms, block(i, content)))
+
+    walk(0, (m,) * n, (), {(): _LP_ONE})
     return out
 
 

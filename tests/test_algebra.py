@@ -3,6 +3,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhaar.scalars import LaurentPoly, QRational, ZERO, ONE, qq, q_binomial, \
     poch
@@ -12,6 +13,7 @@ from qhaar.algebra import (
     star, minor_star, apply_morphism, counting_matrix, stochastic_order,
     is_order_m, pseudo_word, lift_det, equal_mod_det, inversions,
     LETTER_TO_GEN, _expand, _insert, _neg_q_power, _complement,
+    _det_power_step,
 )
 from qhaar.linsys import enumerate_Bnm
 
@@ -137,6 +139,36 @@ def test_determinant_power_without_deep_recursion():
         sys.setrecursionlimit(limit)
         quantum_determinant_power.cache_clear()
     assert got == E.word(1, [(1, 1)] * m)
+
+
+def test_determinant_power_cold_lookups():
+    # a cold call fills the powers below it in one upward pass: O(m) cache
+    # lookups, where a fill per lower power made about m^2 / 2
+    m = 300
+    caches = (quantum_determinant_power, _det_power_step)
+    for f in caches:
+        f.cache_clear()
+    try:
+        got = quantum_determinant_power(1, m)
+        lookups = sum(f.cache_info().hits + f.cache_info().misses
+                      for f in caches)
+    finally:
+        for f in caches:
+            f.cache_clear()
+    assert got == E.word(1, [(1, 1)] * m)
+    assert lookups <= 3 * (m + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.integers(1, n), st.lists(st.integers(1, n), max_size=8))))
+def test_same_row_word_is_a_monomial(row_and_cols):
+    # letters of one row q-commute: each inversion of the columns costs
+    # q^-1 = v^-2 and no other word appears (the coproduct's left legs)
+    i, cols = row_and_cols
+    word = tuple((i, j) for j in cols)
+    assert _expand(word) == \
+        {tuple(sorted(word)): LaurentPoly({-2 * inversions(cols): 1})}
 
 
 def test_coefficient_types():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhaar.algebra import (LETTER_TO_GEN, AlgebraElement, quantum_determinant,
-                           star)
+                           star, _expand)
 from qhaar import cli
 from qhaar.cli import ParseError, parse, run_command
 from qhaar.linsys import VerificationError
@@ -119,6 +119,16 @@ def test_parse_error_positions():
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.pos == pos, text
+
+
+def test_parse_checks_syntax_before_computing():
+    # the stray ')' fails the syntax-only pass, before D_q^4 is expanded
+    _expand.cache_clear()
+    before = _expand.cache_info()
+    with pytest.raises(ParseError) as info:
+        parse("Det^4 )")
+    assert info.value.pos == 6
+    assert _expand.cache_info() == before
 
 
 def test_parse_alias_matches_matrix_entry():
@@ -265,6 +275,9 @@ def test_exit_codes():
     # a zero denominator or a zero base under a negative power
     assert run(["eval", "1/0"])[0] == 2
     assert run(["eval", "0^-1"])[0] == 2
+    # a digit that int() does not read
+    assert run(["eval", "a\u00b2"])[0] == 2
+    assert run(["eval", "x[\u00b9,1]"])[0] == 2
     assert run(["eval", "a", "--at-q", "q"])[0] == 2
     assert run(["solve", "--n", "3", "--m", "9"])[0] == 3
     assert run(["eval", "x[1,1]^2 x[2,2]^2 x[3,3]^2 x[4,4]^2 x[5,5]^2 det^-2",
