@@ -105,6 +105,36 @@ def _fold(start, letters):
     return terms
 
 
+def _times_words(terms, words):
+    """sum_w c_w nf(terms w) for a dict terms of canonical words ->
+    LaurentPoly and a sorted list words of distinct (canonical word, c_w)
+    pairs, inserting one letter at a time; neighbouring words share the
+    products of their common prefix.  The words may differ in length:
+    sorted order puts a word before its extensions, so a shorter word is
+    never a prefix of the one before it."""
+    if len(words) == 1:
+        # nothing to sum: scale the one product instead of accumulating it
+        (w, c), = words
+        for g in w:
+            terms = _mul_letter(terms, g)
+        return terms if c == _LP_ONE else {t: c * ct
+                                           for t, ct in terms.items()}
+    acc = {}
+    stack = [terms]     # stack[t] = nf(terms w[:t]) for the last word w
+    prev = ()
+    for w, c in words:
+        p = 0
+        while p < len(prev) and prev[p] == w[p]:
+            p += 1
+        del stack[p + 1:]
+        for g in w[p:]:
+            stack.append(_mul_letter(stack[-1], g))
+        for t, ct in stack[-1].items():
+            _addmul(acc.setdefault(t, {}), c, ct)
+        prev = w
+    return _polys(acc)
+
+
 @cache
 def _expand(word):
     """Canonical expansion of a generator tuple: dict canonical word ->
@@ -251,10 +281,26 @@ class AlgebraElement:
             return self.scale(other)
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return AlgebraElement(self.n, _normal_order(
-            ((f1 + f2, d1 + d2), c1 * c2)
-            for (f1, d1), c1 in self.terms.items()
-            for (f2, d2), c2 in other.terms.items()), canonical=True)
+        # x y = sum_w x w over the right words w.  The left terms are grouped
+        # by (det power, coefficient denominator), each group takes the words
+        # of a right group one letter at a time (_times_words), and the
+        # integer numerators are summed per (word, det, denominator) before
+        # one normalization per term (_wrap).
+        left = {}
+        for (f, d), c in self.terms.items():
+            left.setdefault((d, c.den), {})[f] = c.num
+        right = {}
+        for (f, d), c in other.terms.items():
+            right.setdefault((d, c.den), []).append((f, c.num))
+        acc = {}
+        for (d2, den2), words in right.items():
+            words.sort(key=lambda wc: wc[0])
+            for (d1, den1), terms in left.items():
+                det, den = d1 + d2, den1 * den2
+                for w, c in _times_words(terms, words).items():
+                    _addmul(acc.setdefault((w, det), {}).setdefault(den, {}),
+                            c, _LP_ONE)
+        return AlgebraElement(self.n, _wrap(acc), canonical=True)
 
     def __rmul__(self, other):
         if isinstance(other, (int, QRational)):
@@ -366,7 +412,10 @@ def quantum_determinant_power(n, m):
 @cache
 def _det_power_step(n, m):
     """D_q^m = D_q^(m-1) D_q.  quantum_determinant_power calls it for
-    m = 0, 1, 2, ... in turn, so D_q^(m-1) is always a cache hit."""
+    m = 0, 1, 2, ... in turn, so D_q^(m-1) is always a cache hit.  D_q is
+    central, but the power stays on the left: the product inserts the n
+    letters of each word of D_q into D_q^(m-1), where D_q D_q^(m-1) would
+    insert all n (m - 1) letters of every word of the power."""
     if m == 0:
         return AlgebraElement.unit(n)
     return _det_power_step(n, m - 1) * quantum_determinant(n)

@@ -100,7 +100,12 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            # int() refuses literals longer than the interpreter's limit on
+            # digits (sys.get_int_max_str_digits), a process-wide setting
+            self.error("integer literal too long", start)
 
     def expr(self):
         out = self.term()

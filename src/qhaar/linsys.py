@@ -11,7 +11,8 @@ Its left legs are never rewritten: x_M is a product of row blocks, the
 left-leg letters that a row block produces all lie in that row, and
 letters of one row q-commute, so each left leg is a single word up to a
 power of q.  Only the right legs are normal-ordered, row block by row
-block (`_comultiply_filtered`).
+block (`_comultiply_filtered`), with the prefix-sharing insertion
+`algebra._times_words` that `AlgebraElement.__mul__` uses too.
 """
 
 from itertools import combinations, permutations, product
@@ -20,7 +21,7 @@ from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
     _addmul, over_common_denominator, qdot
 from .algebra import (counting_matrix, stochastic_order, pseudo_word,
                       quantum_determinant_power, inversions, _expand,
-                      _mul_letter, _neg_q_power, _polys, _rho_exponent)
+                      _neg_q_power, _polys, _rho_exponent, _times_words)
 
 # conservative solvability bounds for the full system and the Source matrix
 _SYSTEM_BOUNDS = {2: 6, 3: 3, 4: 2}
@@ -88,34 +89,6 @@ def _arrangements(content):
             below = sum(content[:c])
             for k, inv in _arrangements(rest):
                 yield (c + 1,) + k, inv + below
-
-
-def _times_words(terms, words):
-    """sum_w c_w nf(terms w) for a dict terms of canonical words ->
-    LaurentPoly and a sorted list words of (canonical word, c_w) pairs of
-    equal length, inserting one letter at a time; neighbouring words share
-    the products of their common prefix."""
-    if len(words) == 1:
-        # nothing to sum: scale the one product instead of accumulating it
-        (w, c), = words
-        for g in w:
-            terms = _mul_letter(terms, g)
-        return terms if c == _LP_ONE else {t: c * ct
-                                           for t, ct in terms.items()}
-    acc = {}
-    stack = [terms]     # stack[t] = nf(terms w[:t]) for the last word w
-    prev = ()
-    for w, c in words:
-        p = 0
-        while p < len(prev) and prev[p] == w[p]:
-            p += 1
-        del stack[p + 1:]
-        for g in w[p:]:
-            stack.append(_mul_letter(stack[-1], g))
-        for t, ct in stack[-1].items():
-            _addmul(acc.setdefault(t, {}), c, ct)
-        prev = w
-    return _polys(acc)
 
 
 def _comultiply_filtered(n, m, factors):

@@ -13,7 +13,7 @@ from qhaar.algebra import (
     star, minor_star, apply_morphism, counting_matrix, stochastic_order,
     is_order_m, pseudo_word, lift_det, equal_mod_det, inversions,
     LETTER_TO_GEN, _expand, _insert, _neg_q_power, _complement,
-    _det_power_step,
+    _det_power_step, _times_words,
 )
 from qhaar.linsys import enumerate_Bnm
 
@@ -99,16 +99,61 @@ def test_diagonal_word_k6():
         "4dd12a558fa8ae11b12090bd026b8dd8577e39ab06de9aaa306b6a539ce4f9ba"
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_canonical_products_random(n):
-    # the shape AlgebraElement.__mul__ feeds: two canonical words in a row
-    rng = random.Random(20261018 + n)
-    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    for _ in range(40):
-        w1 = tuple(sorted(rng.choice(gens) for _ in range(rng.randint(1, 5))))
-        w2 = tuple(sorted(rng.choice(gens) for _ in range(rng.randint(1, 5))))
-        assert {w: QRational(c) for w, c in _expand(w1 + w2).items()} == \
-            _slow_expand(w1 + w2, rng)
+def _elements(n):
+    """Canonical elements of rank n: up to four terms with words of
+    unequal length (the unit word among them), mixed det powers, and
+    coefficients with non-unit denominators."""
+    gens = st.tuples(st.integers(1, n), st.integers(1, n))
+    words = st.lists(gens, max_size=4).map(lambda w: tuple(sorted(w)))
+    coeffs = st.sampled_from([ONE, -qq(1), qq(-2) * QRational.from_int(3),
+                              ONE / (ONE - qq(2)), qq(1) / (ONE + qq(1))])
+    return st.dictionaries(st.tuples(words, st.integers(0, 2)), coeffs,
+                           min_size=1, max_size=4).map(
+        lambda t: E(n, t, canonical=True))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_canonical_products_random(n, data):
+    # x y against the sum over term pairs of the concatenated word, which
+    # the constructor normal-orders through _expand
+    x, y = data.draw(_elements(n)), data.draw(_elements(n))
+    want = E.zero(n)
+    for (f1, d1), c1 in x:
+        for (f2, d2), c2 in y:
+            want = want + E.word(n, f1 + f2, d1 + d2, c1 * c2)
+    assert x * y == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(sorted(LETTER_TO_GEN.values())),
+                         max_size=4).map(lambda w: tuple(sorted(w))),
+                min_size=1, max_size=6, unique=True),
+       st.lists(st.sampled_from(sorted(LETTER_TO_GEN.values())),
+                min_size=1, max_size=3))
+def test_times_words_unequal_lengths(words, start):
+    # sorted words of unequal length, a word and its extensions among them:
+    # the prefix stack must match one normal form per word
+    start = tuple(sorted(start))
+    words = sorted(set(words) | {words[0] + ((3, 3),)})
+    pairs = [(w, LaurentPoly({k: k + 1})) for k, w in enumerate(words)]
+    want = {}
+    for w, c in pairs:
+        for t, ct in _expand(start + w).items():
+            want[t] = want.get(t, LaurentPoly()) + c * ct
+    want = {t: c for t, c in want.items() if c}
+    assert _times_words({start: LaurentPoly({0: 1})}, pairs) == want
+
+
+def test_product_leaves_expand_memo_alone():
+    # products insert letters through _insert; no product word enters the
+    # _expand memo, which holds only words the constructor was given
+    x = quantum_minor(3, (1, 2), (2, 3)) + E.word(3, [(3, 1)], 1)
+    y = star(x)
+    before = _expand.cache_info()
+    p = x * y * x
+    assert p and _expand.cache_info() == before
 
 
 def test_long_word_without_deep_recursion():
@@ -302,7 +347,7 @@ def test_laplace_expansions(n):
             assert c == target and d == target
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_determinant_group_like_and_central(n):
     D = quantum_determinant(n)
     for i in range(1, n + 1):
@@ -316,6 +361,24 @@ def test_determinant_group_like_and_central(n):
             expected[(wl, wr)] = cl * cr
     assert dd == TensorElement(n, expected)
     assert equal_mod_det(D * E.det_inv(n), E.unit(n))
+
+
+def test_determinant_powers_rank4():
+    # D_q^m against the constructor route: each power's term pairs with D_q
+    # concatenated, merged, and normal-ordered through _expand
+    D = quantum_determinant(4)
+    assert quantum_determinant_power(4, 1) == D
+    want = D
+    for m in range(2, 4):
+        pieces = {}
+        for (f1, _), c1 in want:
+            for (f2, _), c2 in D:
+                pieces[(f1 + f2, 0)] = pieces.get((f1 + f2, 0), ZERO) + c1 * c2
+        want = E(4, pieces)
+        lower = quantum_determinant_power(4, m - 1)
+        # D_q is central, so both orders of the factors agree
+        assert quantum_determinant_power(4, m) == lower * D == D * lower \
+            == want
 
 
 def test_negative_determinant_power_rejected():

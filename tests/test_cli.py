@@ -115,7 +115,8 @@ def test_parse_error_positions():
     # a check on a factor names the start of its atom
     for text, pos in [("a b x[4,1]", 4), ("a b^-2", 2), ("a + b^-2", 4),
                       ("1/0", 0), ("a 0^-1", 2), ("a (b)^*", 2),
-                      ("a det", 2), ("a det^2", 2), ("a +", 3)]:
+                      ("a det", 2), ("a det^2", 2), ("a +", 3),
+                      ("a + " + "1" * 5000, 4), ("a^" + "2" * 5000, 2)]:
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.pos == pos, text
@@ -278,6 +279,8 @@ def test_exit_codes():
     # a digit that int() does not read
     assert run(["eval", "a\u00b2"])[0] == 2
     assert run(["eval", "x[\u00b9,1]"])[0] == 2
+    # more digits than int() converts (4,300 by default)
+    assert run(["eval", "1" * 5000])[0] == 2
     assert run(["eval", "a", "--at-q", "q"])[0] == 2
     assert run(["solve", "--n", "3", "--m", "9"])[0] == 3
     assert run(["eval", "x[1,1]^2 x[2,2]^2 x[3,3]^2 x[4,4]^2 x[5,5]^2 det^-2",
