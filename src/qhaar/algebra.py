@@ -110,8 +110,8 @@ def _times_words(terms, words):
     LaurentPoly and a sorted list words of distinct (canonical word, c_w)
     pairs, inserting one letter at a time; neighbouring words share the
     products of their common prefix.  The words may differ in length:
-    sorted order puts a word before its extensions, so a shorter word is
-    never a prefix of the one before it."""
+    sorted order puts a word before its extensions, so no word is a proper
+    prefix of the one before it and the prefix scan stays inside w."""
     if len(words) == 1:
         # nothing to sum: scale the one product instead of accumulating it
         (w, c), = words
