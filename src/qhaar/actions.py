@@ -45,7 +45,7 @@ def act(g, x, side="left"):
         idx = j if side == "left" else i
         return 1 if idx == k else -1 if idx == k + 1 else 0
 
-    out = AlgebraElement.zero(n)
+    pieces = {}     # (word, det) -> summed coefficient, normal-ordered once
     for (factors, det), c in x.terms.items():
         weights = [wt(i, j) for (i, j) in factors]
         total = sum(weights)
@@ -61,9 +61,9 @@ def act(g, x, side="left"):
                 suffix = total - prefix - weights[pos]
                 twist = qq(Fraction(prefix - suffix, 2))
                 nf = factors[:pos] + (rep,) + factors[pos + 1:]
-                out = out + AlgebraElement(n, {(nf, det): c * twist})
+                pieces[(nf, det)] = pieces.get((nf, det), ZERO) + c * twist
             prefix += weights[pos]
-    return out
+    return AlgebraElement(n, pieces)
 
 
 def minor_action(g, n, I, J):

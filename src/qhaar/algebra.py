@@ -41,7 +41,10 @@ def _neg_q_power(e):
 # generator g, t g = low (high g), where low holds the letters of t that are
 # <= g and high the rest, and only high g needs rewriting.  No switching rule
 # produces a letter outside the range of the pair it rewrites, so every word
-# of nf(high g) has letters >= g and low stays in front.
+# of nf(high g) has letters >= g and low stays in front.  _insert memoizes
+# nf(high g); _times_words is the one routine that inserts whole words, and
+# every normal form (constructor, products, coproduct legs, linear-system
+# rows) goes through it.
 
 
 def _polys(acc):
@@ -77,7 +80,9 @@ def _insert(high, g):
             # v^e (q^{-1} - q) = v^(e - 2) - v^(e + 2)
             f = LaurentPoly({e - 2: 1, e + 2: -1})
             suffix = high[p + 1:]
-            for w, c in _fold(high[:p], ((i2, j1), (i1, j2))).items():
+            for w, c in _times_words({high[:p]: _LP_ONE},
+                                     [(((i2, j1), (i1, j2)), _LP_ONE)]
+                                     ).items():
                 _addmul(acc.setdefault(w + suffix, {}), f, c)
     t = acc.setdefault((g,) + high, {})
     t[e] = t.get(e, 0) + 1
@@ -96,22 +101,16 @@ def _mul_letter(terms, g):
     return _polys(acc)
 
 
-def _fold(start, letters):
-    """nf(start letters) for a canonical word start, inserting the letters
-    one at a time: dict canonical word -> LaurentPoly."""
-    terms = {start: _LP_ONE}
-    for g in letters:
-        terms = _mul_letter(terms, g)
-    return terms
-
-
 def _times_words(terms, words):
     """sum_w c_w nf(terms w) for a dict terms of canonical words ->
-    LaurentPoly and a sorted list words of distinct (canonical word, c_w)
-    pairs, inserting one letter at a time; neighbouring words share the
-    products of their common prefix.  The words may differ in length:
-    sorted order puts a word before its extensions, so no word is a proper
-    prefix of the one before it and the prefix scan stays inside w."""
+    LaurentPoly and a sorted list words of distinct (word, c_w) pairs, where
+    a word is any tuple of generators, canonical or not: dict canonical
+    word -> LaurentPoly.  Letters are inserted one at a time, and
+    neighbouring words share the products of their common prefix.  The
+    words may differ in length: sorted order puts a word before its
+    extensions, so no word is a proper prefix of the one before it and the
+    prefix scan stays inside w.  Every rewriting coefficient has
+    denominator 1.  nf(w) itself is _times_words({(): 1}, [(w, 1)])."""
     if len(words) == 1:
         # nothing to sum: scale the one product instead of accumulating it
         (w, c), = words
@@ -135,18 +134,6 @@ def _times_words(terms, words):
     return _polys(acc)
 
 
-@cache
-def _expand(word):
-    """Canonical expansion of a generator tuple: dict canonical word ->
-    LaurentPoly (every rewriting coefficient has denominator 1), folding the
-    letters after the longest sorted prefix into it one at a time.  The
-    result is shared between callers and must not be mutated."""
-    s = 1
-    while s < len(word) and word[s - 1] <= word[s]:
-        s += 1
-    return _fold(word[:s], word[s:])
-
-
 def _wrap(acc):
     """{key: QRational} from {key: {den: v-exponent -> integer coefficient}},
     one exact sum per key; zero sums are dropped."""
@@ -158,20 +145,32 @@ def _wrap(acc):
     return out
 
 
-def _normal_order(pieces):
-    """Canonical terms {(word, det): QRational} of the sum of the
-    ((factors, det), coefficient) pieces.  Coefficient numerators times
-    rewriting polynomials are summed as integers per (canonical word, det,
-    coefficient denominator)."""
-    acc = {}
-    for (factors, det), c in pieces:
+def _product(left, right):
+    """Canonical terms {(word, det): QRational} of x y, for x given by its
+    canonical terms left and y by terms right {(factors, det): QRational}
+    whose words need not be canonical.  x y = sum_w x w over the right
+    words w: the left terms are grouped by (det power, coefficient
+    denominator), each group takes the words of a right group one letter at
+    a time (_times_words), and the integer numerators are summed per (word,
+    det, denominator) before one normalization per term (_wrap)."""
+    groups = {}
+    for (f, d), c in left.items():
+        groups.setdefault((d, c.den), {})[f] = c.num
+    words = {}
+    for (f, d), c in right.items():
         if c.is_zero():
             continue
-        if det < 0:
+        if d < 0:
             raise ValueError("det power must be >= 0")
-        for cw, cc in _expand(tuple(factors)).items():
-            _addmul(acc.setdefault((cw, det), {}).setdefault(c.den, {}),
-                    c.num, cc)
+        words.setdefault((d, c.den), []).append((tuple(f), c.num))
+    acc = {}
+    for (d2, den2), ws in words.items():
+        ws.sort(key=lambda wc: wc[0])
+        for (d1, den1), terms in groups.items():
+            det, den = d1 + d2, den1 * den2
+            for w, c in _times_words(terms, ws).items():
+                _addmul(acc.setdefault((w, det), {}).setdefault(den, {}),
+                        c, _LP_ONE)
     return _wrap(acc)
 
 
@@ -195,7 +194,7 @@ class AlgebraElement:
             if canonical:
                 merged = {w: c for w, c in terms.items() if not c.is_zero()}
             else:
-                merged = _normal_order(terms.items())
+                merged = _product({((), 0): ONE}, terms)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", merged)
 
@@ -281,26 +280,8 @@ class AlgebraElement:
             return self.scale(other)
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        # x y = sum_w x w over the right words w.  The left terms are grouped
-        # by (det power, coefficient denominator), each group takes the words
-        # of a right group one letter at a time (_times_words), and the
-        # integer numerators are summed per (word, det, denominator) before
-        # one normalization per term (_wrap).
-        left = {}
-        for (f, d), c in self.terms.items():
-            left.setdefault((d, c.den), {})[f] = c.num
-        right = {}
-        for (f, d), c in other.terms.items():
-            right.setdefault((d, c.den), []).append((f, c.num))
-        acc = {}
-        for (d2, den2), words in right.items():
-            words.sort(key=lambda wc: wc[0])
-            for (d1, den1), terms in left.items():
-                det, den = d1 + d2, den1 * den2
-                for w, c in _times_words(terms, words).items():
-                    _addmul(acc.setdefault((w, det), {}).setdefault(den, {}),
-                            c, _LP_ONE)
-        return AlgebraElement(self.n, _wrap(acc), canonical=True)
+        return AlgebraElement(self.n, _product(self.terms, other.terms),
+                              canonical=True)
 
     def __rmul__(self, other):
         if isinstance(other, (int, QRational)):
@@ -366,8 +347,9 @@ def comultiply(x):
             legs = [(lf + ((i, k),), rf + ((k, j),))
                     for lf, rf in legs for k in range(1, n + 1)]
         for lf, rf in legs:
-            right = _expand(rf)
-            for cl, ccl in _expand(lf).items():
+            left = _times_words({(): _LP_ONE}, [(lf, _LP_ONE)])
+            right = _times_words({(): _LP_ONE}, [(rf, _LP_ONE)])
+            for cl, ccl in left.items():
                 c = coeff.num * ccl
                 for cr, ccr in right.items():
                     key = ((cl, det), (cr, det))

@@ -11,17 +11,18 @@ Its left legs are never rewritten: x_M is a product of row blocks, the
 left-leg letters that a row block produces all lie in that row, and
 letters of one row q-commute, so each left leg is a single word up to a
 power of q.  Only the right legs are normal-ordered, row block by row
-block (`_comultiply_filtered`), with the prefix-sharing insertion
-`algebra._times_words` that `AlgebraElement.__mul__` uses too.
+block (`_comultiply_filtered`).  Every normal form here, of a row block
+or of a Source-matrix word, comes from the one insertion routine
+`algebra._times_words` that the algebra's constructor and products use.
 """
 
 from itertools import combinations, permutations, product
 
 from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
-    _addmul, over_common_denominator, qdot
+    over_common_denominator, qdot
 from .algebra import (counting_matrix, stochastic_order, pseudo_word,
-                      quantum_determinant_power, inversions, _expand,
-                      _neg_q_power, _polys, _rho_exponent, _times_words)
+                      quantum_determinant_power, inversions,
+                      _neg_q_power, _rho_exponent, _times_words)
 
 # conservative solvability bounds for the full system and the Source matrix
 _SYSTEM_BOUNDS = {2: 6, 3: 3, 4: 2}
@@ -108,8 +109,10 @@ def _comultiply_filtered(n, m, factors):
     of M.  L is walked row by row, depth first, with each row at most the
     column room left, so L is of order m; the running right product is
     multiplied by the normal form of the next P_i, which is built once per
-    call.  Rewriting keeps row and column counts, so every right word has
-    the columns of M and the rows of L's columns: it is of order m too."""
+    call by one _times_words call over the arrangements, each word weighted
+    by v^(-2 inv(k)).  Rewriting keeps row and column counts, so every
+    right word has the columns of M and the rows of L's columns: it is of
+    order m too."""
     assert all(a[0] <= b[0] for a, b in zip(factors, factors[1:]))
     cols = [tuple(j for (i, j) in factors if i == r)
             for r in range(1, n + 1)]
@@ -122,12 +125,12 @@ def _comultiply_filtered(n, m, factors):
     def block(i, content):
         key = (i, content)
         if key not in blocks:
-            acc = {}
-            for k, inv in _arrangements(content):
-                shift = LaurentPoly({-2 * inv: 1})
-                for w, c in _expand(tuple(zip(k, cols[i]))).items():
-                    _addmul(acc.setdefault(w, {}), shift, c)
-            blocks[key] = sorted(_polys(acc).items())
+            words = sorted(((tuple(zip(k, cols[i])),
+                             LaurentPoly({-2 * inv: 1}))
+                            for k, inv in _arrangements(content)),
+                           key=lambda wc: wc[0])
+            blocks[key] = sorted(_times_words({(): _LP_ONE}, words).items(),
+                                 key=lambda wc: wc[0])
         return blocks[key]
 
     def walk(i, room, L, terms):
@@ -319,7 +322,7 @@ def _eta_reduction(n, m, sigma, f):
     e += 2 * _rho_exponent(n, [g for g in specials if pol[g] >= 0])
     prefix = tuple(sorted(specials, key=lambda g: (pol[g] < 0, pol[g])))
     out = {}
-    for cw, cc in _expand(prefix).items():
+    for cw, cc in _times_words({(): _LP_ONE}, [(prefix, _LP_ONE)]).items():
         tau = tuple(j for (_i, j) in cw)
         assert sorted(tau) == list(range(1, n + 1))
         out[tau] = out.get(tau, _LP_ZERO) + cc.shift(e)
@@ -355,7 +358,7 @@ def source_matrix_solve(n, m, override_feasibility=False):
                            + [(r, r)] * (mu - 1 - f[r - 1]))
                 # the zeta leg row-reorders onto the comparing basis without
                 # extra terms, contributing a single power of q
-                exp = _expand(zw)
+                exp = _times_words({(): _LP_ONE}, [(zw, _LP_ONE)])
                 assert len(exp) == 1 and pseudo_word(theta) in exp
                 lam = exp[pseudo_word(theta)]
                 for tau, c in _eta_reduction(n, mu, sigma, f).items():

@@ -252,10 +252,13 @@ def _lp_divexact(a, b):
 
 
 def _lp_lcm(dens):
-    """The canonical lcm in Z[v] of canonical denominators."""
+    """The canonical lcm in Z[v] of canonical denominators; the first
+    non-unit denominator is taken as it is, with no gcd."""
     D = _LP_ONE
     for d in dens:
-        if d != D and d != _LP_ONE:
+        if D == _LP_ONE:
+            D = d
+        elif d != D and d != _LP_ONE:
             D = D * _lp_divexact(d, _lp_gcd(D, d))
     return D
 

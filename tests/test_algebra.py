@@ -12,7 +12,7 @@ from qhaar.algebra import (
     quantum_minor, quantum_determinant, quantum_determinant_power, antipode,
     star, minor_star, apply_morphism, counting_matrix, stochastic_order,
     is_order_m, pseudo_word, lift_det, equal_mod_det, inversions,
-    LETTER_TO_GEN, _expand, _insert, _neg_q_power, _complement,
+    LETTER_TO_GEN, _insert, _neg_q_power, _complement,
     _det_power_step, _times_words,
 )
 from qhaar.linsys import enumerate_Bnm
@@ -63,20 +63,61 @@ def _slow_expand(word, rng):
     return {w: c for w, c in done.items() if not c.is_zero()}
 
 
+def _nf(word):
+    """The rewriter's normal form of one word, from the empty word."""
+    one = LaurentPoly({0: 1})
+    return _times_words({(): one}, [(tuple(word), one)])
+
+
+def _slow_terms(terms, rng):
+    """Canonical terms of the sum of the (word, det) -> coefficient pieces,
+    through the independent rewriter."""
+    want = {}
+    for (word, det), c in terms.items():
+        for w, cw in _slow_expand(word, rng).items():
+            want[(w, det)] = want.get((w, det), ZERO) + c * cw
+    return {k: c for k, c in want.items() if not c.is_zero()}
+
+
 def test_rewriting_confluence_random():
     rng = random.Random(20260826)
     gens = list(LETTER_TO_GEN.values())
     for _ in range(60):
         word = tuple(rng.choice(gens) for _ in range(rng.randint(2, 7)))
-        assert {w: QRational(c) for w, c in _expand(word).items()} == \
+        assert {w: QRational(c) for w, c in _nf(word).items()} == \
             _slow_expand(word, rng)
+    # the constructor on multi-term inputs: mixed det powers, non-unit
+    # denominators, reorderings of one word whose normal forms merge, and a
+    # same-row word beside its sorted form with the coefficient that cancels
+    coeffs = [ONE, -qq(1), qq(-2) * QRational.from_int(3),
+              ONE / (ONE - qq(2)), qq(1) / (ONE + qq(1))]
+    for n in (2, 3, 4):
+        gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for _ in range(15):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                word = tuple(rng.choice(gens)
+                             for _ in range(rng.randint(0, 5)))
+                det = rng.randint(0, 2)
+                for w in (word, tuple(rng.sample(word, len(word)))):
+                    terms[(w, det)] = terms.get((w, det), ZERO) + \
+                        rng.choice(coeffs)
+            i = rng.randint(1, n)
+            cols = sorted(rng.sample(range(1, n + 1), 2), reverse=True)
+            row = tuple((i, j) for j in cols)
+            c = rng.choice(coeffs)
+            terms[(row, 3)] = c
+            terms[(row[::-1], 3)] = -c * qq(-1)
+            got = E(n, terms)
+            assert got.terms == _slow_terms(terms, rng)
+            assert all(det < 3 for (_w, det) in got.terms)
 
 
 def test_diagonal_word_expansion():
     # x33^3 x22^3 x11^3: every switch of two diagonal generators spawns an
     # extra word, so this is the rewriter's worst case at nine letters
     word = ((3, 3),) * 3 + ((2, 2),) * 3 + ((1, 1),) * 3
-    got = _expand(word)
+    got = _nf(word)
     assert len(got) == 55
     assert {w: QRational(c) for w, c in got.items()} == \
         _slow_expand(word, random.Random(3))
@@ -87,10 +128,9 @@ def test_diagonal_word_k6():
     # matrix, diagonal-word coefficients summing to the counit value 1, and
     # the terms' digest as recorded from an independent rewriter that
     # bubbles whole words and re-expands every extra word
-    _expand.cache_clear()
     _insert.cache_clear()
     word = ((3, 3),) * 6 + ((2, 2),) * 6 + ((1, 1),) * 6
-    got = _expand(word)
+    got = _nf(word)
     assert len(got) == len(enumerate_Bnm(3, 6)) == 406
     assert counit(E(3, {(w, 0): QRational(c) for w, c in got.items()},
                     canonical=True)) == ONE
@@ -116,14 +156,15 @@ def _elements(n):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_canonical_products_random(n, data):
-    # x y against the sum over term pairs of the concatenated word, which
-    # the constructor normal-orders through _expand
+    # x y against the independent rewriter on the concatenated word of
+    # every term pair
     x, y = data.draw(_elements(n)), data.draw(_elements(n))
-    want = E.zero(n)
+    pieces = {}
     for (f1, d1), c1 in x:
         for (f2, d2), c2 in y:
-            want = want + E.word(n, f1 + f2, d1 + d2, c1 * c2)
-    assert x * y == want
+            key = (f1 + f2, d1 + d2)
+            pieces[key] = pieces.get(key, ZERO) + c1 * c2
+    assert (x * y).terms == _slow_terms(pieces, random.Random(n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,20 +181,11 @@ def test_times_words_unequal_lengths(words, start):
     pairs = [(w, LaurentPoly({k: k + 1})) for k, w in enumerate(words)]
     want = {}
     for w, c in pairs:
-        for t, ct in _expand(start + w).items():
-            want[t] = want.get(t, LaurentPoly()) + c * ct
-    want = {t: c for t, c in want.items() if c}
-    assert _times_words({start: LaurentPoly({0: 1})}, pairs) == want
-
-
-def test_product_leaves_expand_memo_alone():
-    # products insert letters through _insert; no product word enters the
-    # _expand memo, which holds only words the constructor was given
-    x = quantum_minor(3, (1, 2), (2, 3)) + E.word(3, [(3, 1)], 1)
-    y = star(x)
-    before = _expand.cache_info()
-    p = x * y * x
-    assert p and _expand.cache_info() == before
+        for t, ct in _slow_expand(start + w, random.Random(len(w))).items():
+            want[t] = want.get(t, ZERO) + QRational(c) * ct
+    want = {t: c for t, c in want.items() if not c.is_zero()}
+    got = _times_words({start: LaurentPoly({0: 1})}, pairs)
+    assert {t: QRational(c) for t, c in got.items()} == want
 
 
 def test_long_word_without_deep_recursion():
@@ -212,14 +244,14 @@ def test_same_row_word_is_a_monomial(row_and_cols):
     # q^-1 = v^-2 and no other word appears (the coproduct's left legs)
     i, cols = row_and_cols
     word = tuple((i, j) for j in cols)
-    assert _expand(word) == \
+    assert _nf(word) == \
         {tuple(sorted(word)): LaurentPoly({-2 * inversions(cols): 1})}
 
 
 def test_coefficient_types():
     # the rewriter works on Laurent polynomials; elements keep QRational
     word = ((3, 3), (2, 2), (1, 1), (1, 2))
-    assert all(isinstance(c, LaurentPoly) for c in _expand(word).values())
+    assert all(isinstance(c, LaurentPoly) for c in _nf(word).values())
     x = E.word(3, word, 1, ONE / (ONE - qq(2))) + E.word(3, word[::-1])
     for y in (x, star(x) * x):
         assert y.terms
@@ -365,7 +397,7 @@ def test_determinant_group_like_and_central(n):
 
 def test_determinant_powers_rank4():
     # D_q^m against the constructor route: each power's term pairs with D_q
-    # concatenated, merged, and normal-ordered through _expand
+    # concatenated, merged, and normal-ordered from the empty word
     D = quantum_determinant(4)
     assert quantum_determinant_power(4, 1) == D
     want = D
@@ -388,6 +420,10 @@ def test_negative_determinant_power_rejected():
         quantum_determinant_power(2, -1)
     with pytest.raises(ValueError):
         enumerate_Bnm(3, -1)
+    # the constructor skips a zero coefficient before it checks the power
+    assert E(2, {(((1, 1),), -1): ZERO}) == E.zero(2)
+    with pytest.raises(ValueError):
+        E(2, {(((1, 1),), -1): ONE})
 
 
 @pytest.mark.parametrize("n", [0, -1])

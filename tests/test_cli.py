@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhaar.algebra import (LETTER_TO_GEN, AlgebraElement, quantum_determinant,
-                           star, _expand)
+                           star, _insert)
 from qhaar import cli
 from qhaar.cli import ParseError, parse, run_command
 from qhaar.linsys import VerificationError
@@ -124,12 +124,12 @@ def test_parse_error_positions():
 
 def test_parse_checks_syntax_before_computing():
     # the stray ')' fails the syntax-only pass, before D_q^4 is expanded
-    _expand.cache_clear()
-    before = _expand.cache_info()
+    _insert.cache_clear()
+    before = _insert.cache_info()
     with pytest.raises(ParseError) as info:
         parse("Det^4 )")
     assert info.value.pos == 6
-    assert _expand.cache_info() == before
+    assert _insert.cache_info() == before
 
 
 def test_parse_alias_matches_matrix_entry():

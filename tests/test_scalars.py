@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qhaar.scalars as qscalars
 from qhaar.scalars import (LaurentPoly, QRational, ZERO, ONE, qq, q_number,
                            q_factorial, q_binomial, q_multinomial, poch,
                            evaluate_numeric, fraction_sum,
@@ -231,6 +232,24 @@ def test_over_common_denominator_cases():
     assert QRational(D) == qq(4) - ONE
     assert [QRational(n) for n in nums] == [-ONE - qq(2), -ONE,
                                              qq(5) - qq(1)]
+
+
+
+def test_lcm_of_one_denominator_takes_no_gcd(monkeypatch):
+    # the first non-unit denominator starts the lcm as it is; only a second,
+    # different one costs a gcd
+    calls = []
+    gcd = qscalars._poly_gcd_dense
+    monkeypatch.setattr(qscalars, "_poly_gcd_dense",
+                        lambda a, b: calls.append(1) or gcd(a, b))
+    one = LaurentPoly({0: 1})
+    d1 = (ONE / (ONE - qq(2))).den
+    d2 = (ONE / (ONE - qq(4))).den
+    assert qscalars._lp_lcm([one, d1, one, d1]) == d1
+    assert over_common_denominator([qq(1) / (ONE - qq(2))])[0] == d1
+    assert not calls
+    assert qscalars._lp_lcm([d1, d2]) == d2
+    assert len(calls) == 1
 
 
 GCD_NAMES = {"_lp_gcd", "_poly_gcd_dense", "_normalize", "_lp_lcm"}
