@@ -13,11 +13,6 @@ from .scalars import ZERO, ONE, qq
 from .algebra import AlgebraElement, quantum_minor
 
 
-def _weight_pair(lam, idx):
-    """<lam, eps_idx> for a 1-based index."""
-    return lam[idx - 1]
-
-
 def act(g, x, side="left"):
     kind = g[0]
     n = x.n
@@ -30,7 +25,7 @@ def act(g, x, side="left"):
         for (factors, det), c in x.terms.items():
             e = -det * total
             for (i, j) in factors:
-                e += _weight_pair(lam, j if side == "left" else i)
+                e += lam[(j if side == "left" else i) - 1]
             out[(factors, det)] = c * qq(e)
         return AlgebraElement(n, out, canonical=True)
 
@@ -83,6 +78,6 @@ def minor_action(g, n, I, J):
         return AlgebraElement.zero(n)
     if kind == "q":
         lam = g[1]
-        e = sum(_weight_pair(lam, j) for j in J)
+        e = sum(lam[j - 1] for j in J)
         return quantum_minor(n, I, J).scale(qq(e))
     raise ValueError("unknown generator %r" % (g,))

@@ -43,8 +43,9 @@ def _neg_q_power(e):
 # produces a letter outside the range of the pair it rewrites, so every word
 # of nf(high g) has letters >= g and low stays in front.  _insert memoizes
 # nf(high g); _times_words is the one routine that inserts whole words, and
-# every normal form (constructor, products, coproduct legs, linear-system
-# rows) goes through it.
+# every normal form (constructor, products, action images, linear-system
+# rows) goes through it, except the coproduct legs, which grow one letter
+# at a time through _mul_letter.
 
 
 def _polys(acc):
@@ -114,6 +115,13 @@ def _times_words(terms, words):
     if len(words) == 1:
         # nothing to sum: scale the one product instead of accumulating it
         (w, c), = words
+        if len(terms) == 1 and () in terms:
+            # from the empty word, w's longest non-decreasing prefix is
+            # already canonical
+            p = 1
+            while p < len(w) and w[p - 1] <= w[p]:
+                p += 1
+            terms, w = {w[:p]: terms[()]}, w[p:]
         for g in w:
             terms = _mul_letter(terms, g)
         return terms if c == _LP_ONE else {t: c * ct
@@ -338,23 +346,27 @@ class TensorElement:
 
 
 def comultiply(x):
-    """Coproduct into a TensorElement, both legs normal-ordered."""
+    """Coproduct into a TensorElement, both legs normal-ordered.  Delta is
+    applied letter by letter, Delta(w x_{i,j}) = sum_k Delta(w)
+    (x_{i,k} (x) x_{k,j}), to a dict of normal-ordered leg pairs, so equal
+    pairs merge as they arise."""
     n = x.n
     acc = {}
     for (factors, det), coeff in x.terms.items():
-        legs = [((), ())]
+        pairs = {((), ()): _LP_ONE}
         for (i, j) in factors:
-            legs = [(lf + ((i, k),), rf + ((k, j),))
-                    for lf, rf in legs for k in range(1, n + 1)]
-        for lf, rf in legs:
-            left = _times_words({(): _LP_ONE}, [(lf, _LP_ONE)])
-            right = _times_words({(): _LP_ONE}, [(rf, _LP_ONE)])
-            for cl, ccl in left.items():
-                c = coeff.num * ccl
-                for cr, ccr in right.items():
-                    key = ((cl, det), (cr, det))
-                    _addmul(acc.setdefault(key, {}).setdefault(coeff.den, {}),
-                            c, ccr)
+            nxt = {}
+            for (lw, rw), c in pairs.items():
+                for k in range(1, n + 1):
+                    right = _mul_letter({rw: _LP_ONE}, (k, j))
+                    for cl, ccl in _mul_letter({lw: c}, (i, k)).items():
+                        for cr, ccr in right.items():
+                            _addmul(nxt.setdefault((cl, cr), {}), ccl, ccr)
+            pairs = _polys(nxt)
+        for (cl, cr), c in pairs.items():
+            key = ((cl, det), (cr, det))
+            _addmul(acc.setdefault(key, {}).setdefault(coeff.den, {}),
+                    coeff.num, c)
     return TensorElement(n, _wrap(acc))
 
 

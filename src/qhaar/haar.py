@@ -121,9 +121,12 @@ def haar_ratio_general_n(i, idx, n):
     """h_n(i; m;s,r,l,t) / h_n(i; m;0,m,m,0) for an embedded 3x3 block
     starting at row i, taken to equal the rank-3 ratio.
 
-    Verified only at order 1 (n = 4, 5, by
-    test_ratio_general_n_embedded_order1); orders >= 2 at n >= 4 are
-    unverified."""
+    Verified against the rank-n values at order 1 for n = 4, 5
+    (test_ratio_general_n_embedded_order1) and at order 2 for n = 4
+    (test_ratio_general_n_embedded_order2); order 3 at n = 4 and order 2
+    at n = 5 were checked once against the invariance system (CHANGES.md,
+    the entry that rebuilt it from the U_q(gl_n) action).  Other orders
+    and ranks are unverified."""
     m, s, r, l, t = idx
     if not 1 <= i <= n - 2:
         raise ValueError("block position out of range")

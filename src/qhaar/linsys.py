@@ -1,28 +1,22 @@
 """Linear systems for Haar state values.
 
-Enumerates m-doubly-stochastic counting matrices, expands powers of the
-quantum determinant over the pseudo-basis, builds the full translation
-invariance system of a given order, solves it exactly, and runs the
-recursive Source-matrix scheme that yields h(x_{sigma_0}^m) on O(U_q(n))
-without touching the full system.
-
-The invariance system needs the coproduct of every pseudo-basis word x_M.
-Its left legs are never rewritten: x_M is a product of row blocks, the
-left-leg letters that a row block produces all lie in that row, and
-letters of one row q-commute, so each left leg is a single word up to a
-power of q.  Only the right legs are normal-ordered, row block by row
-block (`_comultiply_filtered`).  Every normal form here, of a row block
-or of a Source-matrix word, comes from the one insertion routine
-`algebra._times_words` that the algebra's constructor and products use.
+Enumerates counting matrices with given row and column sums, expands
+powers of the quantum determinant over the pseudo-basis, builds the
+invariance system of a given order from the left action of U_q(gl_n),
+solves it exactly, and runs the recursive Source-matrix scheme that
+yields h(x_{sigma_0}^m) on O(U_q(n)) without touching the full system.
+Every normal form here, of an action image or of a Source-matrix word,
+comes from the one insertion routine `algebra._times_words`.
 """
 
 from itertools import combinations, permutations, product
 
-from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
+from .scalars import QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
     over_common_denominator, qdot
-from .algebra import (counting_matrix, stochastic_order, pseudo_word,
-                      quantum_determinant_power, inversions,
+from .algebra import (AlgebraElement, counting_matrix, stochastic_order,
+                      pseudo_word, quantum_determinant_power, inversions,
                       _neg_q_power, _rho_exponent, _times_words)
+from .actions import act
 
 # conservative solvability bounds for the full system and the Source matrix
 _SYSTEM_BOUNDS = {2: 6, 3: 3, 4: 2}
@@ -47,22 +41,31 @@ def _check_feasible(n, m, bounds, override=False):
             "override_feasibility to force" % (n, m))
 
 
+def _counting_matrices(row_sums, col_sums):
+    """All counting matrices with the given row and column sums (equal
+    totals), sorted lexicographically by their flattened vector: every row
+    but the last from the compositions of its sum, and the column sums'
+    remainder as the last row when it is nonnegative."""
+    n = len(col_sums)
+    heads = product(*([r for r in product(range(s + 1), repeat=n)
+                       if sum(r) == s] for s in row_sums[:-1]))
+    out = []
+    for head in heads:
+        last = tuple(c - sum(r[j] for r in head)
+                     for j, c in enumerate(col_sums))
+        if min(last) >= 0:
+            out.append(head + (last,))
+    return sorted(out)
+
+
 def enumerate_Bnm(n, m):
     """All n x n m-doubly-stochastic matrices, sorted lexicographically by
-    their flattened vector (the order the pseudo-bases are indexed in):
-    n - 1 rows from the compositions of m, and the column sums' complement
-    to m as the last row when it is nonnegative."""
+    their flattened vector (the order the pseudo-bases are indexed in)."""
     if n < 1:
         raise ValueError("rank must be positive")
     if m < 0:
         raise ValueError("order must be nonnegative")
-    rows = [r for r in product(range(m + 1), repeat=n) if sum(r) == m]
-    out = []
-    for head in product(rows, repeat=n - 1):
-        last = tuple(m - sum(r[j] for r in head) for j in range(n))
-        if min(last) >= 0:
-            out.append(head + (last,))
-    return sorted(out)
+    return _counting_matrices((m,) * n, (m,) * n)
 
 
 def detq_power_expand(n, m, override_feasibility=False):
@@ -78,83 +81,6 @@ def detq_power_expand(n, m, override_feasibility=False):
     return out
 
 
-def _arrangements(content):
-    """(k, inv(k)) for every sequence k holding content[c - 1] copies of c,
-    with inv(k) its number of inversions."""
-    if not any(content):
-        yield (), 0
-        return
-    for c, a in enumerate(content):
-        if a:
-            rest = content[:c] + (a - 1,) + content[c + 1:]
-            below = sum(content[:c])
-            for k, inv in _arrangements(rest):
-                yield (c + 1,) + k, inv + below
-
-
-def _comultiply_filtered(n, m, factors):
-    """Tensor terms of the coproduct of the pseudo-word x_M of an order-m
-    matrix M whose legs are both order-m words.  Returns a dict
-    L -> {K: coefficient}, keyed by the legs' counting matrices (a canonical
-    word is the pseudo-basis word of its matrix).
-
-    Delta(x_M) is the sum over all index sequences k of
-    x_{i_1,k_1}...x_{i_N,k_N} (x) x_{k_1,j_1}...x_{k_N,j_N}.  x_M is made of
-    row blocks, and the left-leg letters of row i's block all lie in row i,
-    where they q-commute: their normal form is the single word
-    v^(-2 inv(k)) x_{i,sorted(k)}, and row i of L is the content of k.  So
-    the left leg is never expanded: the x_L part of the coproduct is
-    nf(P_1 ... P_n), where P_i sums v^(-2 inv(k)) x_{k_1,j_1}...x_{k_m,j_m}
-    over the arrangements k of row i of L, and j holds the columns of row i
-    of M.  L is walked row by row, depth first, with each row at most the
-    column room left, so L is of order m; the running right product is
-    multiplied by the normal form of the next P_i, which is built once per
-    call by one _times_words call over the arrangements, each word weighted
-    by v^(-2 inv(k)).  Rewriting keeps row and column counts, so every
-    right word has the columns of M and the rows of L's columns: it is of
-    order m too."""
-    assert all(a[0] <= b[0] for a, b in zip(factors, factors[1:]))
-    cols = [tuple(j for (i, j) in factors if i == r)
-            for r in range(1, n + 1)]
-    compositions = [r for r in product(range(m + 1), repeat=n)
-                    if sum(r) == m]
-    blocks = {}     # (row index, content) -> sorted nf(P) as pairs
-    thetas = {}     # right word -> counting matrix
-    out = {}
-
-    def block(i, content):
-        key = (i, content)
-        if key not in blocks:
-            words = sorted(((tuple(zip(k, cols[i])),
-                             LaurentPoly({-2 * inv: 1}))
-                            for k, inv in _arrangements(content)),
-                           key=lambda wc: wc[0])
-            blocks[key] = sorted(_times_words({(): _LP_ONE}, words).items(),
-                                 key=lambda wc: wc[0])
-        return blocks[key]
-
-    def walk(i, room, L, terms):
-        if not terms:
-            return
-        if i == n:
-            row = out[L] = {}
-            for w, c in terms.items():
-                theta = thetas.get(w)
-                if theta is None:
-                    theta = thetas[w] = counting_matrix(n, w)
-                    assert stochastic_order(theta) == m
-                row[theta] = QRational(c, _LP_ONE, _reduced=True)
-            return
-        # the last row takes the room left, which sums to m
-        for content in compositions if i < n - 1 else (room,):
-            if all(a <= b for a, b in zip(content, room)):
-                walk(i + 1, tuple(b - a for a, b in zip(content, room)),
-                     L + (content,), _times_words(terms, block(i, content)))
-
-    walk(0, (m,) * n, (), {(): _LP_ONE})
-    return out
-
-
 class HaarLinearSystem:
     """rows: list of (coefficient dict theta -> QRational, rhs, tag)."""
 
@@ -166,27 +92,36 @@ class HaarLinearSystem:
 
 
 def build_system(n, m, override_feasibility=False):
-    """All translation invariance relations of order m plus normalization.
+    """The invariance relations of order m plus normalization.
 
-    For every equation basis x_M det^-m, (id (x) h) Delta(x_M det^-m) =
-    h(x_M det^-m) * 1; comparing coefficients of each basis word x_L det^-m
-    gives the row sum_K c^M_{L,K} h(x_K) = b_L h(x_M)."""
+    For g = e_k or f_k, h(g . x_theta det^-m) = 0 for every theta with row
+    sums m and column sums m except at the columns k, k + 1 that g moves:
+    (m - 1, m + 1) for e_k, which turns a column k + 1 into a column k, and
+    (m + 1, m - 1) for f_k.  Every word of the image is then of order m,
+    and the row reads sum_K c_K h(x_K det^-m) = 0.  With the rows of all
+    k = 1..n-1 the system has full rank: at fixed row content the words
+    form the tensor product of the q-symmetric powers S^m_q(V) of the rows
+    under the column action, whose invariants are spanned by D_q^m, and the
+    normalization row fixes the scale."""
     _check_feasible(n, m, _SYSTEM_BOUNDS, override_feasibility)
-    B = enumerate_Bnm(n, m)
-    b = detq_power_expand(n, m, override_feasibility)
     rows = []
-    for M in B:
-        cM = _comultiply_filtered(n, m, pseudo_word(M))
-        for L in B:
-            coeffs = dict(cM.get(L, ()))
-            bL = b.get(L, ZERO)
-            if not bL.is_zero():
-                coeffs[M] = coeffs.get(M, ZERO) - bL
-            coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-            if coeffs:
-                rows.append((coeffs, ZERO, ("invariance", M, L)))
-    rows.append((dict(b), ONE, ("normalization",)))
-    return HaarLinearSystem(n, m, B, rows)
+    for k in range(1, n):
+        for kind, moved in (("e", (m - 1, m + 1)), ("f", (m + 1, m - 1))):
+            col_sums = (m,) * (k - 1) + moved + (m,) * (n - k - 1)
+            for theta in _counting_matrices((m,) * n, col_sums):
+                x = AlgebraElement(n, {(pseudo_word(theta), m): ONE},
+                                   canonical=True)
+                coeffs = {}
+                for (factors, det), c in act((kind, k), x).terms.items():
+                    K = counting_matrix(n, factors)
+                    assert det == m and stochastic_order(K) == m
+                    coeffs[K] = c
+                if coeffs:
+                    rows.append((coeffs, ZERO,
+                                 ("invariance", (kind, k), theta)))
+    rows.append((detq_power_expand(n, m, override_feasibility), ONE,
+                 ("normalization",)))
+    return HaarLinearSystem(n, m, enumerate_Bnm(n, m), rows)
 
 
 def _add_scaled(row, f, other):

@@ -16,6 +16,7 @@ from qhaar.algebra import (
     _det_power_step, _times_words,
 )
 from qhaar.linsys import enumerate_Bnm
+from qhaar import algebra
 
 E = AlgebraElement
 
@@ -186,6 +187,22 @@ def test_times_words_unequal_lengths(words, start):
     want = {t: c for t, c in want.items() if not c.is_zero()}
     got = _times_words({start: LaurentPoly({0: 1})}, pairs)
     assert {t: QRational(c) for t, c in got.items()} == want
+
+
+def test_sorted_prefix_is_not_reinserted(monkeypatch):
+    # from the empty word, a word's longest non-decreasing prefix is already
+    # canonical: only the letters after it are inserted
+    seen = []
+    mul_letter = algebra._mul_letter
+    monkeypatch.setattr(algebra, "_mul_letter",
+                        lambda terms, g: seen.append(g) or mul_letter(terms, g))
+    w = ((1, 1), (1, 3), (2, 2), (2, 1), (3, 3))
+    c = LaurentPoly({1: 2})
+    got = _times_words({(): c}, [(w, LaurentPoly({0: 1}))])
+    assert seen == [(2, 1), (3, 3)]
+    assert {t: QRational(ct) for t, ct in got.items()} == \
+        {t: QRational(c) * ct
+         for t, ct in _slow_expand(w, random.Random(0)).items()}
 
 
 def test_long_word_without_deep_recursion():

@@ -232,6 +232,15 @@ def test_eval_rank1():
     assert run(["eval", "x[1,1]^2 det^-2", "--n", "1"]) == (0, "1\n")
 
 
+def test_eval_rank4_order2():
+    # rank 4, order 2 comes from the invariance system, built in about a
+    # second
+    code, out = run(["eval", "x[1,1]^2 x[2,2]^2 x[3,3]^2 x[4,4]^2 det^-2",
+                     "--n", "4"])
+    assert code == 0
+    assert out.strip() not in ("", "0")
+
+
 def test_ortho_at_q():
     code, out = run(["ortho", "--lambda", "1,0,0", "--mu", "1,0,0",
                      "--at-q", "1/2"])

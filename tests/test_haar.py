@@ -11,14 +11,14 @@ import pytest
 from qhaar.scalars import QRational, ZERO, ONE, qq, q_binomial, q_factorial
 from qhaar.algebra import (AlgebraElement, comultiply, apply_morphism, equal_mod_det,
                            quantum_determinant, pseudo_word, counting_matrix,
-                           star)
+                           star, is_order_m)
 from qhaar.actions import act
 from qhaar.corep import (gram_entry_closed, gram_entry_direct, weight_space,
                          vector_to_element)
 from qhaar.haar import (haar_ref, haar_ref_recursive, haar_pseudo,
                         haar_order1, haar_state, haar_ratio_general_n,
                         check_pseudo_index)
-from qhaar.linsys import enumerate_Bnm, FeasibilityError
+from qhaar.linsys import enumerate_Bnm, FeasibilityError, _counting_matrices
 
 E = AlgebraElement
 NEG_ONE = QRational.from_int(-1)
@@ -265,13 +265,32 @@ def test_modular_property():
 
 
 def test_action_invariance():
-    # h(g . x) = 0 = h(x . g) for e_k, f_k, on all order <= 2 pseudo-basis
+    # h(g . x) = 0 = h(x . g) for e_k, f_k at n = 3, m <= 2, on every input
+    # whose image is of order m.  On the left, g moves one column index, so
+    # theta has row sums m and column sums m except at columns k, k + 1:
+    # (m - 1, m + 1) for e_k, (m + 1, m - 1) for f_k.  On the right, g moves
+    # a row index the other way, so the row sums take the offsets
+    # (m + 1, m - 1) for e_k and (m - 1, m + 1) for f_k.
+    def sums(m, k, pair):
+        return (m,) * (k - 1) + pair + (m,) * (2 - k)
+
     for m in (1, 2):
-        for theta in enumerate_Bnm(3, m):
-            x = E.word(3, pseudo_word(theta), det=m)
-            for g in (("e", 1), ("e", 2), ("f", 1), ("f", 2)):
-                assert haar_state(act(g, x, "left")) == ZERO
-                assert haar_state(act(g, x, "right")) == ZERO
+        flat = (m,) * 3
+        for k in (1, 2):
+            for kind, lo, hi in (("e", m - 1, m + 1), ("f", m + 1, m - 1)):
+                for side, rows, cols in (
+                        ("left", flat, sums(m, k, (lo, hi))),
+                        ("right", sums(m, k, (hi, lo)), flat)):
+                    images = 0
+                    for theta in _counting_matrices(rows, cols):
+                        x = E.word(3, pseudo_word(theta), det=m)
+                        y = act((kind, k), x, side)
+                        if y.is_zero():
+                            continue
+                        images += 1
+                        assert is_order_m(y) == m
+                        assert haar_state(y) == ZERO
+                    assert images, (m, k, kind, side)
 
 
 def _h(text_powers, m):
@@ -380,8 +399,7 @@ def test_ratio_general_n_embedded_order1(n, i):
     """The ratio for each order-1 3x3 pattern embedded at rows and columns
     i..i+2 of a rank-n word, with x_jj on the other diagonal entries, against
     haar_state, which takes order-1 values at rank n from haar_order1.
-    Orders >= 2 at n >= 4 are unverified: most of those words need the full
-    rank-4 invariance system."""
+    test_ratio_general_n_embedded_order2 checks order 2 at n = 4."""
     def embedded(theta):
         sigma = list(range(1, n + 1))
         for a in range(3):
@@ -392,6 +410,26 @@ def test_ratio_general_n_embedded_order1(n, i):
     anti = embedded(((0, 0, 1), (0, 1, 0), (1, 0, 0)))
     for theta in enumerate_Bnm(3, 1):
         idx = (1, theta[0][0], theta[0][2], theta[2][0], theta[2][2])
+        assert embedded(theta) / anti == haar_ratio_general_n(i, idx, n)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_ratio_general_n_embedded_order2(i):
+    """The ratio for each order-2 3x3 pattern embedded at rows and columns
+    i..i+2 of a rank-4 word, with x_jj^2 on the other diagonal entry,
+    divided by the embedded 2 x antidiagonal, against haar_state, which
+    takes these rank-4 values from the invariance system."""
+    n, m = 4, 2
+
+    def embedded(theta):
+        big = [[m * (r == c) for c in range(n)] for r in range(n)]
+        for a in range(3):
+            big[i - 1 + a][i - 1:i + 2] = theta[a]
+        return haar_state(E.word(n, pseudo_word(big), m))
+
+    anti = embedded(((0, 0, m), (0, m, 0), (m, 0, 0)))
+    for theta in enumerate_Bnm(3, m):
+        idx = (m, theta[0][0], theta[0][2], theta[2][0], theta[2][2])
         assert embedded(theta) / anti == haar_ratio_general_n(i, idx, n)
 
 

@@ -10,7 +10,7 @@ from qhaar.algebra import (AlgebraElement, pseudo_word, counting_matrix,
 from qhaar.haar import haar_ref, haar_order1, haar_pseudo, haar_state
 from qhaar.linsys import (enumerate_Bnm, detq_power_expand, build_system,
                           solve_system, source_matrix_solve, _eliminate,
-                          _comultiply_filtered, VerificationError)
+                          VerificationError)
 from qhaar import haar, linsys
 
 E = AlgebraElement
@@ -134,11 +134,6 @@ def test_source_matrix_rank4():
 
 
 def test_rows_and_values_are_qrational():
-    M = enumerate_Bnm(3, 2)[4]
-    legs = _comultiply_filtered(3, 2, pseudo_word(M))
-    assert legs
-    assert all(isinstance(c, QRational)
-               for row in legs.values() for c in row.values())
     system = build_system(2, 2)
     for row, rhs, _tag in system.rows:
         assert isinstance(rhs, QRational)
@@ -151,16 +146,34 @@ def test_rows_and_values_are_qrational():
 
 
 @pytest.mark.parametrize("n, m", [(2, 3), (2, 4), (3, 2), (4, 1)])
-def test_comultiply_filtered_matches_coproduct(n, m):
-    # the pruned coproduct keeps exactly the terms of the full one whose
-    # legs are both of order m
-    for M in enumerate_Bnm(n, m):
-        want = {}
+def test_values_satisfy_translation_invariance(n, m):
+    # the paper's invariance relations, with coefficients from the naive
+    # coproduct: (id (x) h) Delta(x_M det^-m) = h(x_M det^-m) 1 reads
+    # sum_K c^M_{L,K} v_K = b_L v_M for every M and L, where 1 is
+    # sum_L b_L x_L det^-m and only order-m right legs K have h nonzero
+    v = solve_system(build_system(n, m))
+    b = detq_power_expand(n, m)
+    B = enumerate_Bnm(n, m)
+    for M in B:
+        lhs = {}
         for ((lf, _), (rf, _)), c in comultiply(E.word(n, pseudo_word(M))):
-            tl, tr = counting_matrix(n, lf), counting_matrix(n, rf)
-            if stochastic_order(tl) == m and stochastic_order(tr) == m:
-                want.setdefault(tl, {})[tr] = c
-        assert _comultiply_filtered(n, m, pseudo_word(M)) == want
+            K = counting_matrix(n, rf)
+            if stochastic_order(K) == m:
+                L = counting_matrix(n, lf)
+                lhs[L] = lhs.get(L, ZERO) + c * v[K]
+        assert set(lhs) <= set(B)
+        for L in B:
+            assert lhs.get(L, ZERO) == b.get(L, ZERO) * v[M]
+
+
+def test_action_rows_of_one_column_pair_are_rank_deficient():
+    # the rows of e_1, f_1 alone only ask for invariance under the columns
+    # 1, 2, which many functionals meet: elimination reports the shortfall
+    system = build_system(3, 2)
+    rows = [r for r in system.rows if r[2][0] != "invariance" or r[2][1][1] == 1]
+    assert len(rows) < len(system.rows)
+    with pytest.raises(VerificationError, match="^rank deficient"):
+        _eliminate(rows, system.unknowns)
 
 
 def test_feasibility_guard():
