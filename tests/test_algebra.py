@@ -195,7 +195,7 @@ def test_sorted_prefix_is_not_reinserted(monkeypatch):
     seen = []
     mul_letter = algebra._mul_letter
     monkeypatch.setattr(algebra, "_mul_letter",
-                        lambda terms, g: seen.append(g) or mul_letter(terms, g))
+                        lambda t, g: seen.append(g) or mul_letter(t, g))
     w = ((1, 1), (1, 3), (2, 2), (2, 1), (3, 3))
     c = LaurentPoly({1: 2})
     got = _times_words({(): c}, [(w, LaurentPoly({0: 1}))])

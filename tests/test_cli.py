@@ -233,8 +233,8 @@ def test_eval_rank1():
 
 
 def test_eval_rank4_order2():
-    # rank 4, order 2 comes from the invariance system, built in about a
-    # second
+    # a rank-4, order-2 word off the anti-diagonal: a value of the
+    # invariance system
     code, out = run(["eval", "x[1,1]^2 x[2,2]^2 x[3,3]^2 x[4,4]^2 det^-2",
                      "--n", "4"])
     assert code == 0

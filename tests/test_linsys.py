@@ -170,7 +170,8 @@ def test_action_rows_of_one_column_pair_are_rank_deficient():
     # the rows of e_1, f_1 alone only ask for invariance under the columns
     # 1, 2, which many functionals meet: elimination reports the shortfall
     system = build_system(3, 2)
-    rows = [r for r in system.rows if r[2][0] != "invariance" or r[2][1][1] == 1]
+    rows = [r for r in system.rows
+            if r[2][0] != "invariance" or r[2][1][1] == 1]
     assert len(rows) < len(system.rows)
     with pytest.raises(VerificationError, match="^rank deficient"):
         _eliminate(rows, system.unknowns)
