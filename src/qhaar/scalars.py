@@ -103,32 +103,43 @@ class LaurentPoly:
 
     # -- conversion helpers for gcd/division --------------------------
 
-    def _dense(self):
-        """(valuation, little-endian coefficient list)."""
+    def stride(self):
+        """The gcd s of e - valuation over the exponents e, 0 for a monomial
+        or zero: self is v^valuation * P(v^s)."""
+        lo, s = self.valuation(), 0
+        for e in self.terms:
+            s = math.gcd(s, e - lo)
+        return s
+
+    def _dense(self, s=1):
+        """(valuation, little-endian coefficient list in w = v^s), for an
+        s that divides the stride."""
         if not self.terms:
             return 0, []
         lo, hi = self.valuation(), self.degree()
-        coeffs = [0] * (hi - lo + 1)
+        coeffs = [0] * ((hi - lo) // s + 1)
         for e, c in self.terms.items():
-            coeffs[e - lo] = c
+            coeffs[(e - lo) // s] = c
         return lo, coeffs
 
     @staticmethod
-    def _from_dense(lo, coeffs):
-        return LaurentPoly({lo + i: c for i, c in enumerate(coeffs) if c})
+    def _from_dense(lo, coeffs, s=1):
+        return LaurentPoly({lo + s * i: c for i, c in enumerate(coeffs) if c})
 
     def evaluate(self, v0):
         """Exact value at a rational v0 = a/b > 0: the integer
-        N = sum c_e a^(e-lo) b^(hi-e) by Horner's rule, then N a^lo / b^hi
-        as one Fraction."""
+        N = sum c_e a^(e-lo) b^(hi-e) by Horner's rule in w = v^s, s the
+        stride, then N a^lo / b^hi as one Fraction."""
         v0 = Fraction(v0)
         a, b = v0.numerator, v0.denominator
-        lo, coeffs = self._dense()
-        hi = lo + len(coeffs) - 1
+        s = self.stride() or 1
+        lo, coeffs = self._dense(s)
+        hi = lo + s * (len(coeffs) - 1)
+        a_s, b_s = a ** s, b ** s
         n, b_pow = 0, 1
         for c in reversed(coeffs):
-            n = n * a + c * b_pow
-            b_pow *= b
+            n = n * a_s + c * b_pow
+            b_pow *= b_s
         return Fraction(n * a ** max(lo, 0) * b ** max(-hi, 0),
                         a ** max(-lo, 0) * b ** max(hi, 0))
 
@@ -237,29 +248,41 @@ def _poly_divexact(a, b):
     return q
 
 
+def _common_stride(a, b):
+    """The gcd of the strides of two LaurentPoly, 1 when both are
+    monomials: their gcd and quotient are computed in w = v^s."""
+    return math.gcd(a.stride(), b.stride()) or 1
+
+
 def _lp_gcd(a, b):
     """A gcd in Z[v] of two nonzero LaurentPoly, of valuation 0 (a Laurent
     gcd is defined up to a monomial unit)."""
-    return LaurentPoly._from_dense(0, _poly_gcd_dense(a._dense()[1],
-                                                      b._dense()[1]))
+    s = _common_stride(a, b)
+    return LaurentPoly._from_dense(0, _poly_gcd_dense(a._dense(s)[1],
+                                                      b._dense(s)[1]), s)
 
 
 def _lp_divexact(a, b):
     """a / b for LaurentPoly where b divides a exactly; raises if not."""
-    alo, ac = a._dense()
-    blo, bc = b._dense()
-    return LaurentPoly._from_dense(alo - blo, _poly_divexact(ac, bc))
+    s = _common_stride(a, b)
+    alo, ac = a._dense(s)
+    blo, bc = b._dense(s)
+    return LaurentPoly._from_dense(alo - blo, _poly_divexact(ac, bc), s)
 
 
 def _lp_lcm(dens):
     """The canonical lcm in Z[v] of canonical denominators; the first
-    non-unit denominator is taken as it is, with no gcd."""
+    non-unit denominator is taken as it is, and a denominator that divides
+    the running lcm leaves it as it is, both with no gcd."""
     D = _LP_ONE
     for d in dens:
         if D == _LP_ONE:
             D = d
         elif d != D and d != _LP_ONE:
-            D = D * _lp_divexact(d, _lp_gcd(D, d))
+            try:
+                _lp_divexact(D, d)
+            except ArithmeticError:
+                D = D * _lp_divexact(d, _lp_gcd(D, d))
     return D
 
 
@@ -273,13 +296,14 @@ def _cancel(a, b):
     taken when either is a unit."""
     if _is_unit(a) or _is_unit(b):
         return a, b
-    alo, ac = a._dense()
-    blo, bc = b._dense()
+    s = _common_stride(a, b)
+    alo, ac = a._dense(s)
+    blo, bc = b._dense(s)
     g = _poly_gcd_dense(ac, bc)
     if len(g) == 1 and g[0] == 1:
         return a, b
-    return (LaurentPoly._from_dense(alo, _poly_divexact(ac, g)),
-            LaurentPoly._from_dense(blo, _poly_divexact(bc, g)))
+    return (LaurentPoly._from_dense(alo, _poly_divexact(ac, g), s),
+            LaurentPoly._from_dense(blo, _poly_divexact(bc, g), s))
 
 
 def _canonical(num, den):

@@ -111,6 +111,32 @@ def test_evaluate_matches_termwise_sum(terms, r):
     assert evaluate_numeric(even, q0) == _termwise(terms, q0)
 
 
+@pytest.mark.parametrize("v0", [Fraction(1, 2), Fraction(3, 2)])
+def test_evaluate_strided_cases(v0):
+    # odd offset (stride 8), negative valuation (stride 12), and a fraction
+    # whose numerator is a monomial (stride 0) over a stride-8 denominator
+    odd, neg = {3: 1, 11: 5}, {-8: 1, 4: -1}
+    num, den = {12: 2}, {0: 1, 8: -1}
+    assert LaurentPoly(odd).stride() == 8 and LaurentPoly(neg).stride() == 12
+    assert LaurentPoly(num).stride() == 0
+    frac = QRational(LaurentPoly(num), LaurentPoly(den))
+    for terms in (odd, neg):
+        assert LaurentPoly(terms).evaluate(v0) == _termwise(terms, v0)
+        assert evaluate_numeric(QRational(LaurentPoly(terms)), v0 * v0) == \
+            _termwise(terms, v0)
+    assert evaluate_numeric(frac, v0 * v0) == \
+        _termwise(num, v0) / _termwise(den, v0)
+    # sqrt(q0) irrational: the even powers are evaluated at q0 itself
+    q0 = Fraction(2)
+    half = lambda terms: {e // 2: c for e, c in terms.items()}
+    assert evaluate_numeric(QRational(LaurentPoly(neg)), q0) == \
+        _termwise(half(neg), q0)
+    assert evaluate_numeric(frac, q0) == \
+        _termwise(half(num), q0) / _termwise(half(den), q0)
+    with pytest.raises(ValueError):
+        evaluate_numeric(QRational(LaurentPoly(odd)), q0)
+
+
 def test_serialization_roundtrip():
     x = (ONE + qq(2)) / (ONE - qq(3))
     pairs = x.to_pairs()
@@ -250,6 +276,79 @@ def test_lcm_of_one_denominator_takes_no_gcd(monkeypatch):
     assert not calls
     assert qscalars._lp_lcm([d1, d2]) == d2
     assert len(calls) == 1
+
+
+def test_lcm_of_a_divisor_takes_no_gcd(monkeypatch):
+    # a denominator that divides the running lcm leaves it as it is
+    calls = []
+    gcd = qscalars._poly_gcd_dense
+    monkeypatch.setattr(qscalars, "_poly_gcd_dense",
+                        lambda a, b: calls.append(1) or gcd(a, b))
+    d1 = (ONE / (ONE - qq(2))).den
+    d2 = (ONE / (ONE - qq(4))).den
+    assert qscalars._lp_lcm([d2, d1]) == d2
+    assert qscalars._lp_lcm([d2, d1, d2, d1]) == d2
+    assert not calls
+
+
+def test_gcd_runs_in_the_stride(monkeypatch):
+    # (1 - q^8)/(1 - q^4) = (1 - v^16)/(1 - v^8) reaches the gcd as
+    # 1 - w^2 and 1 - w in w = v^8, not as 17 and 9 coefficients in v
+    lengths = []
+    gcd = qscalars._poly_gcd_dense
+    monkeypatch.setattr(qscalars, "_poly_gcd_dense",
+                        lambda a, b: lengths.append((len(a), len(b)))
+                        or gcd(a, b))
+    x = QRational(LaurentPoly({0: 1, 16: -1}), LaurentPoly({0: 1, 8: -1}))
+    assert lengths == [(3, 2)]
+    assert x == ONE + qq(4)
+
+
+def _ref_gcd(a, b):
+    """The stride-1 route: the dense kernels on every power of v."""
+    return LaurentPoly._from_dense(0, qscalars._poly_gcd_dense(
+        a._dense()[1], b._dense()[1]))
+
+
+def _ref_divexact(a, b):
+    alo, ac = a._dense()
+    blo, bc = b._dense()
+    return LaurentPoly._from_dense(alo - blo,
+                                   qscalars._poly_divexact(ac, bc))
+
+
+def _ref_cancel(a, b):
+    if qscalars._is_unit(a) or qscalars._is_unit(b):
+        return a, b
+    g = _ref_gcd(a, b)
+    if g == LaurentPoly({0: 1}):
+        return a, b
+    return _ref_divexact(a, g), _ref_divexact(b, g)
+
+
+# v^offset * P(v^s): odd and negative offsets, strides 1 to 8, and
+# one-term polynomials such as 3v^8, whose stride is 0
+strided = st.builds(
+    lambda offset, s, terms: LaurentPoly({offset + s * k: c
+                                          for k, c in terms.items()}),
+    st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 8]),
+    st.dictionaries(st.integers(0, 3), st.integers(-6, 6).filter(bool),
+                    min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strided, strided, strided)
+def test_stride_route_matches_stride_one_route(a, b, g):
+    # mixed strides: v^4 against v^6 gives s = 2; a monomial against a
+    # stride-8 polynomial takes s = 8
+    fixed = [(LaurentPoly({0: 1, 4: -1}), LaurentPoly({0: 1, 6: 1})),
+             (LaurentPoly({8: 3}), LaurentPoly({-3: 2, 5: -2})),
+             (LaurentPoly({-8: 4}), LaurentPoly({0: 6}))]
+    for x, y in [(a, b)] + fixed:
+        assert qscalars._cancel(x * g, y * g) == _ref_cancel(x * g, y * g)
+        assert qscalars._lp_gcd(x, y) == _ref_gcd(x, y)
+        assert qscalars._lp_divexact(x * y, y) == _ref_divexact(x * y, y) \
+            == x
 
 
 GCD_NAMES = {"_lp_gcd", "_poly_gcd_dense", "_normalize", "_lp_lcm"}
