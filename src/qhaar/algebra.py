@@ -46,75 +46,154 @@ def _neg_q_power(e):
 # every normal form (constructor, products, action images, linear-system
 # rows) goes through it, except the coproduct legs, which grow one letter
 # at a time through _mul_letter.
+#
+# Inside the engine a coefficient, a Laurent polynomial in v with integer
+# coefficients, is one pair (a, N) (Kronecker substitution): a bounds its
+# exponents from below and N = sum_e c_e 2^(B (e - a)) holds the
+# coefficients as signed base-2^B digits.  Multiplying by v^k moves a, a
+# product is one integer multiply and a sum one shift and one add, all of
+# them exact whatever B is.  Only reading the digits back needs every
+# |c_e| < 2^(B - 1), so each call also returns a bound on the total
+# |coefficient| mass of its results (and so of every intermediate one), and
+# _certified decodes only under that bound, rerunning the call at a wider B
+# otherwise.
+
+_WIDTH = 64
 
 
-def _polys(acc):
-    """{word: LaurentPoly} from {word: {v-exponent: integer}}, dropping
-    words whose coefficients cancel."""
-    out = {}
-    for w, t in acc.items():
-        c = LaurentPoly(t)
-        if c:
-            out[w] = c
-    return out
+def _pack(c, B):
+    """(a, N) of a nonzero LaurentPoly c at digit width B."""
+    a = min(c.terms)
+    N = 0
+    for e, x in c.terms.items():
+        N += x << B * (e - a)
+    return a, N
+
+
+def _unpack(a, N, B):
+    """The LaurentPoly of (a, N) at width B, every digit of N below
+    2^(B - 1) in absolute value."""
+    terms = {}
+    mask, half, full = (1 << B) - 1, 1 << (B - 1), 1 << B
+    while N:
+        d = N & mask
+        if d >= half:
+            d -= full
+        N = (N - d) >> B
+        if d:
+            terms[a] = d
+        a += 1
+    return LaurentPoly(terms)
+
+
+def _mass(c):
+    """The total |coefficient| of a LaurentPoly."""
+    return sum(abs(x) for x in c.terms.values())
+
+
+def _certified(run):
+    """(out, B) for run(B) -> (packed out, mass bound): run at B = 64 and,
+    while the bound is not below 2^(B - 1), again at a width it certifies.
+    The rerun repeats the same operations, so its bound is normally the
+    same; the loop also covers a narrow run that dropped a term whose
+    digits overflowed."""
+    B = _WIDTH
+    while True:
+        out, bound = run(B)
+        if bound < 1 << (B - 1):
+            return out, B
+        B = bound.bit_length() + 2
 
 
 @cache
-def _insert(high, g):
-    """nf(high g) for a canonical word high, possibly empty, whose letters
-    all exceed the generator g: dict canonical word -> LaurentPoly.
+def _insert(high, g, B):
+    """(nf(high g), bound) for a canonical word high, possibly empty, whose
+    letters all exceed the generator g: a dict canonical word -> packed
+    coefficient at width B, and a bound on its total |coefficient|.
 
     g bubbles leftwards through high.  Passing a letter in its row or column
     multiplies by q^{-1} = v^{-2}; passing an anti-diagonal letter is free;
     passing h = high[p] = (i1, j1) strictly below and right of g = (i2, j2),
     i.e. i1 > i2 and j1 > j2, also splits off
     v^e (q^{-1} - q) nf(high[:p] (i2, j1) (i1, j2)) high[p + 1:].  That
-    normal form has no letter above h, so the suffix stays in place."""
+    normal form has no letter above h, so the suffix stays in place.  The
+    bound is 1 for the bubbled word plus twice the bound of each split-off
+    normal form."""
     i2, j2 = g
     e = 0
     acc = {}
+    bound = 1
     for p in range(len(high) - 1, -1, -1):
         i1, j1 = high[p]
         if i1 == i2 or j1 == j2:
             e -= 2
         elif j1 > j2:
-            # v^e (q^{-1} - q) = v^(e - 2) - v^(e + 2)
-            f = LaurentPoly({e - 2: 1, e + 2: -1})
+            # v^e (q^{-1} - q) = v^(e - 2) (1 - v^4)
             suffix = high[p + 1:]
-            for w, c in _times_words({high[:p]: _LP_ONE},
-                                     [(((i2, j1), (i1, j2)), _LP_ONE)]
-                                     ).items():
-                _addmul(acc.setdefault(w + suffix, {}), f, c)
-    t = acc.setdefault((g,) + high, {})
-    t[e] = t.get(e, 0) + 1
-    return _polys(acc)
+            nf, lam = _times_packed({high[:p]: (0, 1)}, 1,
+                                    [(((i2, j1), (i1, j2)), (0, 1), 1)], B)
+            bound += 2 * lam
+            for w, (b, y) in nf.items():
+                _add_packed(acc, w + suffix, e - 2 + b, y - (y << 4 * B), B)
+    _add_packed(acc, (g,) + high, e, 1, B)
+    return {w: c for w, c in acc.items() if c[1]}, bound
 
 
-def _mul_letter(terms, g):
-    """nf(terms g) for a dict terms of canonical words -> LaurentPoly and a
-    generator g: dict canonical word -> LaurentPoly."""
+def _add_packed(acc, w, a, N, B):
+    """acc[w] += (a, N), shifting the one with the larger a."""
+    old = acc.get(w)
+    if old is None:
+        acc[w] = (a, N)
+    elif old[0] <= a:
+        acc[w] = (old[0], old[1] + (N << B * (a - old[0])))
+    else:
+        acc[w] = (a, N + (old[1] << B * (old[0] - a)))
+
+
+def _mul_letter(terms, g, B):
+    """(nf(terms g), top) for a dict terms of canonical words -> nonzero
+    packed coefficients at width B and a generator g: the packed normal
+    form, and the largest bound of the inserts it used, so that its mass
+    is at most top times that of terms."""
     acc = {}
-    for t, c in terms.items():
+    top = 1
+    cancelled = False
+    for t, (a, x) in terms.items():
         s = bisect_right(t, g)
+        nf, bound = _insert(t[s:], g, B)
         low = t[:s]
-        for w, c2 in _insert(t[s:], g).items():
-            _addmul(acc.setdefault(low + w, {}), c, c2)
-    return _polys(acc)
+        if bound > top:
+            top = bound
+        for w, (b, y) in nf.items():
+            w = low + w
+            b += a
+            y *= x
+            old = acc.get(w)
+            if old is None:
+                acc[w] = (b, y)
+                continue
+            b0, y0 = old
+            if b0 <= b:
+                y = y0 + (y << B * (b - b0))
+                b = b0
+            else:
+                y += y0 << B * (b0 - b)
+            acc[w] = (b, y)
+            if not y:
+                cancelled = True
+    if cancelled:
+        acc = {w: c for w, c in acc.items() if c[1]}
+    return acc, top
 
 
-def _times_words(terms, words):
-    """sum_w c_w nf(terms w) for a dict terms of canonical words ->
-    LaurentPoly and a sorted list words of distinct (word, c_w) pairs, where
-    a word is any tuple of generators, canonical or not: dict canonical
-    word -> LaurentPoly.  Letters are inserted one at a time, and
-    neighbouring words share the products of their common prefix.  The
-    words may differ in length: sorted order puts a word before its
-    extensions, so no word is a proper prefix of the one before it and the
-    prefix scan stays inside w.  Every rewriting coefficient has
-    denominator 1.  nf(w) itself is _times_words({(): 1}, [(w, 1)])."""
+def _times_packed(terms, mass, words, B):
+    """(sum_w c_w nf(terms w), bound) at width B, for packed terms of total
+    |coefficient| at most mass and a sorted list words of distinct
+    (word, packed c_w, total |c_w|) triples; the bound adds |c_w| times
+    the bound of each nf(terms w).  See _times_words."""
     if len(words) == 1:
         # nothing to sum: scale the one product instead of accumulating it
-        (w, c), = words
+        (w, (a, c), cm), = words
         if len(terms) == 1 and () in terms:
             # from the empty word, w's longest non-decreasing prefix is
             # already canonical
@@ -123,23 +202,56 @@ def _times_words(terms, words):
                 p += 1
             terms, w = {w[:p]: terms[()]}, w[p:]
         for g in w:
-            terms = _mul_letter(terms, g)
-        return terms if c == _LP_ONE else {t: c * ct
-                                           for t, ct in terms.items()}
+            terms, top = _mul_letter(terms, g, B)
+            mass *= top
+        if a == 0 and c == 1:
+            return terms, mass
+        return {t: (a + b, c * x) for t, (b, x) in terms.items()}, mass * cm
     acc = {}
-    stack = [terms]     # stack[t] = nf(terms w[:t]) for the last word w
+    bound = 0
+    stack = [(terms, mass)]     # stack[t] = nf(terms w[:t]) for the last w
     prev = ()
-    for w, c in words:
+    for w, (a, c), cm in words:
         p = 0
         while p < len(prev) and prev[p] == w[p]:
             p += 1
         del stack[p + 1:]
         for g in w[p:]:
-            stack.append(_mul_letter(stack[-1], g))
-        for t, ct in stack[-1].items():
-            _addmul(acc.setdefault(t, {}), c, ct)
+            t, m = stack[-1]
+            t, top = _mul_letter(t, g, B)
+            stack.append((t, m * top))
+        t, m = stack[-1]
+        bound += cm * m
+        for u, (b, x) in t.items():
+            b += a
+            x *= c
+            old = acc.get(u)
+            if old is None:
+                acc[u] = (b, x)
+            elif old[0] <= b:
+                acc[u] = (old[0], old[1] + (x << B * (b - old[0])))
+            else:
+                acc[u] = (b, x + (old[1] << B * (old[0] - b)))
         prev = w
-    return _polys(acc)
+    return {w: c for w, c in acc.items() if c[1]}, bound
+
+
+def _times_words(terms, words):
+    """sum_w c_w nf(terms w) for a dict terms of canonical words ->
+    LaurentPoly and a sorted list words of distinct (word, c_w) pairs, where
+    a word is any tuple of generators, canonical or not: dict canonical
+    word -> LaurentPoly, all coefficients nonzero.  Letters are inserted
+    one at a time, and neighbouring words share the products of their
+    common prefix.  The
+    words may differ in length: sorted order puts a word before its
+    extensions, so no word is a proper prefix of the one before it and the
+    prefix scan stays inside w.  Every rewriting coefficient has
+    denominator 1.  nf(w) itself is _times_words({(): 1}, [(w, 1)])."""
+    mass = sum(_mass(c) for c in terms.values())
+    out, B = _certified(lambda B: _times_packed(
+        {t: _pack(c, B) for t, c in terms.items()}, mass,
+        [(w, _pack(c, B), _mass(c)) for w, c in words], B))
+    return {t: _unpack(a, N, B) for t, (a, N) in out.items()}
 
 
 def _wrap(acc):
@@ -345,28 +457,42 @@ class TensorElement:
         return iter(self.terms.items())
 
 
+def _coproduct_legs(n, factors, B):
+    """(Delta of the word factors, bound) at width B: a dict of
+    normal-ordered leg pairs -> packed coefficient, and a bound on its
+    total |coefficient|.  Delta is applied letter by letter,
+    Delta(w x_{i,j}) = sum_k Delta(w) (x_{i,k} (x) x_{k,j}), so equal pairs
+    merge as they arise; a letter multiplies the bound by the largest
+    sum over k of the two legs' insert bounds."""
+    pairs, mass = {((), ()): (0, 1)}, 1
+    for (i, j) in factors:
+        nxt = {}
+        step = 1
+        for (lw, rw), c in pairs.items():
+            s = 0
+            for k in range(1, n + 1):
+                right, br = _mul_letter({rw: (0, 1)}, (k, j), B)
+                left, bl = _mul_letter({lw: c}, (i, k), B)
+                s += bl * br
+                for cl, (a, x) in left.items():
+                    for cr, (b, y) in right.items():
+                        _add_packed(nxt, (cl, cr), a + b, x * y, B)
+            step = max(step, s)
+        pairs, mass = {p: c for p, c in nxt.items() if c[1]}, mass * step
+    return pairs, mass
+
+
 def comultiply(x):
-    """Coproduct into a TensorElement, both legs normal-ordered.  Delta is
-    applied letter by letter, Delta(w x_{i,j}) = sum_k Delta(w)
-    (x_{i,k} (x) x_{k,j}), to a dict of normal-ordered leg pairs, so equal
-    pairs merge as they arise."""
+    """Coproduct into a TensorElement, both legs normal-ordered
+    (_coproduct_legs)."""
     n = x.n
     acc = {}
     for (factors, det), coeff in x.terms.items():
-        pairs = {((), ()): _LP_ONE}
-        for (i, j) in factors:
-            nxt = {}
-            for (lw, rw), c in pairs.items():
-                for k in range(1, n + 1):
-                    right = _mul_letter({rw: _LP_ONE}, (k, j))
-                    for cl, ccl in _mul_letter({lw: c}, (i, k)).items():
-                        for cr, ccr in right.items():
-                            _addmul(nxt.setdefault((cl, cr), {}), ccl, ccr)
-            pairs = _polys(nxt)
-        for (cl, cr), c in pairs.items():
+        pairs, B = _certified(lambda B: _coproduct_legs(n, factors, B))
+        for (cl, cr), (a, N) in pairs.items():
             key = ((cl, det), (cr, det))
             _addmul(acc.setdefault(key, {}).setdefault(coeff.den, {}),
-                    coeff.num, c)
+                    coeff.num, _unpack(a, N, B))
     return TensorElement(n, _wrap(acc))
 
 
@@ -421,15 +547,38 @@ def _complement(n, S):
 
 def _anti_extend(x, gen_image):
     """The anti-multiplicative extension of x_{i,j} -> gen_image(n, i, j)
-    and det_q^{-1} -> D_q, linear over scalars."""
+    and det_q^{-1} -> D_q, linear over scalars, in one pass.  Each
+    generator image, a sum of words at det power 1 with integer
+    coefficients, is formed once.  A term c x_{f_1} ... x_{f_L} det^-d
+    maps to c D_q^d image(f_L) ... image(f_1) det^-L: each letter's image
+    words are inserted into the packed normal form so far, and each output
+    term is normalized once (_wrap)."""
     n = x.n
-    out = AlgebraElement.zero(n)
-    for (factors, det), coeff in x.terms.items():
-        piece = quantum_determinant_power(n, det)
-        for (i, j) in reversed(factors):
-            piece = piece * gen_image(n, i, j)
-        out = out + piece.scale(coeff)
-    return out
+    images = {}
+    acc = {}
+    for (factors, det), c in x.terms.items():
+        for g in factors:
+            if g not in images:
+                images[g] = sorted(((w, cw.num) for (w, _d), cw
+                                    in gen_image(n, *g).terms.items()),
+                                   key=lambda wc: wc[0])
+        left = {w: cw.num for (w, _d), cw
+                in quantum_determinant_power(n, det).terms.items()}
+
+        def run(B):
+            terms = {t: _pack(ct, B) for t, ct in left.items()}
+            mass = sum(_mass(ct) for ct in left.values())
+            for g in reversed(factors):
+                terms, mass = _times_packed(
+                    terms, mass, [(w, _pack(cw, B), _mass(cw))
+                                  for w, cw in images[g]], B)
+            return terms, mass
+
+        terms, B = _certified(run)
+        for w, (a, N) in terms.items():
+            _addmul(acc.setdefault((w, len(factors)), {}).setdefault(
+                c.den, {}), c.num, _unpack(a, N, B))
+    return AlgebraElement(n, _wrap(acc), canonical=True)
 
 
 def antipode(x):

@@ -285,9 +285,8 @@ def _cmd_table(args):
     else:
         rows = []
         for theta in enumerate_Bnm(3, args.m):
-            m, s, r, l, t = _pseudo_index_from_theta(theta)
             word = "".join(GEN_TO_LETTER[g] for g in pseudo_word(theta))
-            value = haar_pseudo(m, s, r, l, t)
+            value = haar_pseudo(*_pseudo_index_from_theta(args.m, theta))
             rows.append((word, _scalar_text(value, args.at_q)))
     return _render_rows(["monomial", "value"], rows, args.format)
 

@@ -17,8 +17,9 @@ from .algebra import counting_matrix, stochastic_order, inversions, \
 from .linsys import build_system, solve_system, source_matrix_solve
 
 
+@cache
 def haar_ref(m):
-    """h((ceg)^m det^-m) in closed form."""
+    """h((ceg)^m det^-m) in closed form, computed once per m."""
     if m < 0:
         raise ValueError("order must be >= 0")
     if m == 0:
@@ -74,8 +75,7 @@ def haar_order1(sigma, n):
     return _neg_q_power(inversions(tuple(sigma))) / q_factorial(n)
 
 
-def _pseudo_index_from_theta(theta):
-    m = stochastic_order(theta)
+def _pseudo_index_from_theta(m, theta):
     return (m, theta[0][0], theta[0][2], theta[2][0], theta[2][2])
 
 
@@ -98,7 +98,7 @@ def _haar_word(n, factors, det):
         # at rank 1, D_q = x11
         return ONE
     if n == 3:
-        return haar_pseudo(*_pseudo_index_from_theta(theta))
+        return haar_pseudo(*_pseudo_index_from_theta(m, theta))
     if m == 1:
         sigma = [0] * n
         for (i, j) in factors:

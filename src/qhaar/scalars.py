@@ -271,19 +271,28 @@ def _lp_divexact(a, b):
 
 
 def _lp_lcm(dens):
-    """The canonical lcm in Z[v] of canonical denominators; the first
-    non-unit denominator is taken as it is, and a denominator that divides
-    the running lcm leaves it as it is, both with no gcd."""
-    D = _LP_ONE
+    """(D, cofactors): the canonical lcm D in Z[v] of a list of canonical
+    denominators, and the list of D / d over it.  The first non-unit
+    denominator is taken as it is, and a denominator that divides the
+    running lcm leaves it as it is, both with no gcd; the division that
+    tests this is the cofactor, so every cofactor costs one division."""
+    D, cof = _LP_ONE, []
     for d in dens:
-        if D == _LP_ONE:
-            D = d
-        elif d != D and d != _LP_ONE:
+        if d == D:
+            c = _LP_ONE
+        elif d == _LP_ONE:
+            c = D
+        elif D == _LP_ONE:
+            D, c, cof = d, _LP_ONE, [d] * len(cof)
+        else:
             try:
-                _lp_divexact(D, d)
+                c = _lp_divexact(D, d)
             except ArithmeticError:
-                D = D * _lp_divexact(d, _lp_gcd(D, d))
-    return D
+                g = _lp_gcd(D, d)
+                f = _lp_divexact(d, g)
+                D, c, cof = D * f, _lp_divexact(D, g), [k * f for k in cof]
+        cof.append(c)
+    return D, cof
 
 
 def _is_unit(p):
@@ -487,18 +496,18 @@ ONE = QRational.from_int(1)
 
 def _bucket_sum(buckets):
     """The sum of num/den over {den: {v-exponent: integer coefficient of
-    num}}: each numerator is brought over the lcm of the denominators and
-    the total is normalized once, so only the lcm and that one
-    normalization take a gcd."""
+    num}}: each numerator is brought over the lcm of the denominators by
+    its cofactor and the total is normalized once, so only the lcm and
+    that one normalization take a gcd."""
     parts = [(LaurentPoly(t), den) for den, t in buckets.items()]
     parts = [(num, den) for num, den in parts if num]
-    D = _lp_lcm(den for _, den in parts)
+    D, cof = _lp_lcm([den for _, den in parts])
     if len(parts) == 1:
         num = parts[0][0]
     else:
         acc = {}
-        for num, den in parts:
-            _addmul(acc, num, _lp_divexact(D, den))
+        for (num, _den), c in zip(parts, cof):
+            _addmul(acc, num, c)
         num = LaurentPoly(acc)
     if not num:
         return ZERO
@@ -529,9 +538,9 @@ def over_common_denominator(values):
     of their denominators and the i-th numerator is the LaurentPoly
     values[i] * D."""
     values = list(values)
-    dens = {x.den for x in values}
-    D = _lp_lcm(dens)
-    cofactor = {d: _lp_divexact(D, d) for d in dens}
+    dens = list({x.den: None for x in values})
+    D, cof = _lp_lcm(dens)
+    cofactor = dict(zip(dens, cof))
     return D, [x.num * cofactor[x.den] for x in values]
 
 

@@ -39,7 +39,7 @@ def test_criterion_01_rank3_system_matches_closed_form():
         thetas = enumerate_Bnm(3, m)
         assert len(thetas) == {1: 6, 2: 21, 3: 55}[m]
         for theta in thetas:
-            assert values[theta] == haar_pseudo(*_pseudo_index_from_theta(theta))
+            assert values[theta] == haar_pseudo(*_pseudo_index_from_theta(m, theta))
 
 
 def test_criterion_02_reference_value_triple_agreement():

@@ -140,15 +140,15 @@ def test_diagonal_word_k6():
         "4dd12a558fa8ae11b12090bd026b8dd8577e39ab06de9aaa306b6a539ce4f9ba"
 
 
-def _elements(n):
+def _elements(n, letters=4, det=2):
     """Canonical elements of rank n: up to four terms with words of
     unequal length (the unit word among them), mixed det powers, and
     coefficients with non-unit denominators."""
     gens = st.tuples(st.integers(1, n), st.integers(1, n))
-    words = st.lists(gens, max_size=4).map(lambda w: tuple(sorted(w)))
+    words = st.lists(gens, max_size=letters).map(lambda w: tuple(sorted(w)))
     coeffs = st.sampled_from([ONE, -qq(1), qq(-2) * QRational.from_int(3),
                               ONE / (ONE - qq(2)), qq(1) / (ONE + qq(1))])
-    return st.dictionaries(st.tuples(words, st.integers(0, 2)), coeffs,
+    return st.dictionaries(st.tuples(words, st.integers(0, det)), coeffs,
                            min_size=1, max_size=4).map(
         lambda t: E(n, t, canonical=True))
 
@@ -195,7 +195,7 @@ def test_sorted_prefix_is_not_reinserted(monkeypatch):
     seen = []
     mul_letter = algebra._mul_letter
     monkeypatch.setattr(algebra, "_mul_letter",
-                        lambda t, g: seen.append(g) or mul_letter(t, g))
+                        lambda t, g, B: seen.append(g) or mul_letter(t, g, B))
     w = ((1, 1), (1, 3), (2, 2), (2, 1), (3, 3))
     c = LaurentPoly({1: 2})
     got = _times_words({(): c}, [(w, LaurentPoly({0: 1}))])
@@ -203,6 +203,61 @@ def test_sorted_prefix_is_not_reinserted(monkeypatch):
     assert {t: QRational(ct) for t, ct in got.items()} == \
         {t: QRational(c) * ct
          for t, ct in _slow_expand(w, random.Random(0)).items()}
+
+
+def _laurent(max_coeff):
+    """Nonzero Laurent polynomials with exponents in [-3, 3] and integer
+    coefficients up to max_coeff in absolute value."""
+    return st.dictionaries(st.integers(-3, 3),
+                           st.integers(-max_coeff, max_coeff).filter(bool),
+                           min_size=1, max_size=3).map(LaurentPoly)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_slow_rewriter(n, data):
+    # sum_w c_w nf(terms w) against the independent rewriter on each
+    # concatenated word, with coefficients both small and above 2^64
+    gens = st.tuples(st.integers(1, n), st.integers(1, n))
+    coeffs = _laurent(data.draw(st.sampled_from([3, 2 ** 70])))
+    terms = data.draw(st.dictionaries(
+        st.lists(gens, max_size=3).map(lambda w: tuple(sorted(w))), coeffs,
+        min_size=1, max_size=3))
+    words = sorted(data.draw(st.dictionaries(
+        st.lists(gens, max_size=4).map(tuple), coeffs, min_size=1,
+        max_size=4)).items(), key=lambda wc: wc[0])
+    want = {}
+    for t, ct in terms.items():
+        for w, cw in words:
+            for u, cu in _slow_expand(t + w, random.Random(len(w))).items():
+                want[u] = want.get(u, ZERO) + QRational(ct * cw) * cu
+    want = {u: c for u, c in want.items() if not c.is_zero()}
+    got = _times_words(terms, words)
+    assert {u: QRational(c) for u, c in got.items()} == want
+
+
+def test_widening_rerun_is_exact(monkeypatch):
+    # the kernel decodes only below its certified bound, so a call whose
+    # bound reaches 2^63 reruns at a wider width: once from a large input,
+    # where c (q^{-1} - q) has the digit 2^63 that a 64-bit digit cannot
+    # hold, and once from small inputs whose rewriting bound passes 2^63
+    widths = []
+    certified = algebra._certified
+    monkeypatch.setattr(algebra, "_certified", lambda run: certified(
+        lambda B: widths.append(B) or run(B)))
+    c = LaurentPoly({0: -2 ** 62, 4: 2 ** 62})
+    word = ((2, 2), (1, 1))
+    got = _times_words({(): c}, [(word, LaurentPoly({0: 1}))])
+    assert {t: QRational(ct) for t, ct in got.items()} == \
+        {t: QRational(c) * ct
+         for t, ct in _slow_expand(word, random.Random(0)).items()}
+    assert got[((1, 2), (2, 1))].terms[2] == 2 ** 63
+    assert widths[0] == 64 < widths[1] and len(widths) == 2
+    widths.clear()
+    diagonal = ((3, 3),) * 6 + ((2, 2),) * 6 + ((1, 1),) * 6
+    assert len(_nf(diagonal)) == 406
+    assert widths[0] == 64 < widths[1] and len(widths) == 2
 
 
 def test_long_word_without_deep_recursion():
@@ -468,6 +523,32 @@ def test_generator_star_and_antipode(n):
             want = quantum_minor(n, _complement(n, (j,)),
                                  _complement(n, (i,))) * det1
             assert antipode(g) == want.scale(_neg_q_power(i - j))
+
+
+def _anti_extend_per_term(x, gen_image):
+    """The anti-multiplicative extension by one element product per letter
+    and one element sum per term."""
+    n = x.n
+    out = E.zero(n)
+    for (factors, det), coeff in x.terms.items():
+        piece = quantum_determinant_power(n, det)
+        for (i, j) in reversed(factors):
+            piece = piece * gen_image(n, i, j)
+        out = out + piece.scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("n, letters, det", [(2, 4, 2), (3, 3, 2), (4, 2, 1)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_one_pass_star_and_antipode(n, letters, det, data):
+    # elements with det powers and non-unit denominators, against one
+    # element product per letter and one element sum per term
+    x = data.draw(_elements(n, letters, det))
+    assert star(x) == _anti_extend_per_term(
+        x, lambda n, i, j: minor_star(n, (i,), (j,)))
+    assert antipode(x) == _anti_extend_per_term(
+        x, lambda n, i, j: minor_star(n, (j,), (i,)))
 
 
 def test_minor_coproduct():

@@ -186,7 +186,8 @@ def test_import_fills_no_cache():
     assert set(sizes) == {
         "qhaar.algebra._insert", "qhaar.algebra.quantum_determinant_power",
         "qhaar.algebra._det_power_step", "qhaar.corep._closed_pair",
-        "qhaar.haar.haar_pseudo", "qhaar.haar._system_values",
+        "qhaar.haar.haar_pseudo", "qhaar.haar.haar_ref",
+        "qhaar.haar._system_values",
         "qhaar.haar._source_value", "qhaar.scalars.q_binomial",
         "qhaar.scalars.poch"}
     assert set(sizes.values()) == {0}

@@ -271,10 +271,10 @@ def test_lcm_of_one_denominator_takes_no_gcd(monkeypatch):
     one = LaurentPoly({0: 1})
     d1 = (ONE / (ONE - qq(2))).den
     d2 = (ONE / (ONE - qq(4))).den
-    assert qscalars._lp_lcm([one, d1, one, d1]) == d1
+    assert qscalars._lp_lcm([one, d1, one, d1])[0] == d1
     assert over_common_denominator([qq(1) / (ONE - qq(2))])[0] == d1
     assert not calls
-    assert qscalars._lp_lcm([d1, d2]) == d2
+    assert qscalars._lp_lcm([d1, d2])[0] == d2
     assert len(calls) == 1
 
 
@@ -286,8 +286,8 @@ def test_lcm_of_a_divisor_takes_no_gcd(monkeypatch):
                         lambda a, b: calls.append(1) or gcd(a, b))
     d1 = (ONE / (ONE - qq(2))).den
     d2 = (ONE / (ONE - qq(4))).den
-    assert qscalars._lp_lcm([d2, d1]) == d2
-    assert qscalars._lp_lcm([d2, d1, d2, d1]) == d2
+    assert qscalars._lp_lcm([d2, d1])[0] == d2
+    assert qscalars._lp_lcm([d2, d1, d2, d1])[0] == d2
     assert not calls
 
 
