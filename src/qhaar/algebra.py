@@ -165,6 +165,7 @@ def _mul_letter(terms, g, B):
         if bound > top:
             top = bound
         for w, (b, y) in nf.items():
+            # _add_packed, inlined in this loop and _times_packed's
             w = low + w
             b += a
             y *= x

@@ -538,7 +538,7 @@ def over_common_denominator(values):
     of their denominators and the i-th numerator is the LaurentPoly
     values[i] * D."""
     values = list(values)
-    dens = list({x.den: None for x in values})
+    dens = list({x.den for x in values})
     D, cof = _lp_lcm(dens)
     cofactor = dict(zip(dens, cof))
     return D, [x.num * cofactor[x.den] for x in values]

@@ -13,7 +13,7 @@ from qhaar.algebra import (
     star, minor_star, apply_morphism, counting_matrix, stochastic_order,
     is_order_m, pseudo_word, lift_det, equal_mod_det, inversions,
     LETTER_TO_GEN, _insert, _neg_q_power, _complement,
-    _det_power_step, _times_words,
+    _det_power_step, _times_words, _mass,
 )
 from qhaar.linsys import enumerate_Bnm
 from qhaar import algebra
@@ -241,11 +241,20 @@ def test_widening_rerun_is_exact(monkeypatch):
     # the kernel decodes only below its certified bound, so a call whose
     # bound reaches 2^63 reruns at a wider width: once from a large input,
     # where c (q^{-1} - q) has the digit 2^63 that a 64-bit digit cannot
-    # hold, and once from small inputs whose rewriting bound passes 2^63
-    widths = []
+    # hold, and once from small inputs whose rewriting bound passes 2^63.
+    # Each bound covers the total |coefficient| of the result; the first
+    # is exact.
+    runs = []
     certified = algebra._certified
-    monkeypatch.setattr(algebra, "_certified", lambda run: certified(
-        lambda B: widths.append(B) or run(B)))
+
+    def spy(run):
+        def logged(B):
+            out = run(B)
+            runs.append((B, out[1]))
+            return out
+        return certified(logged)
+
+    monkeypatch.setattr(algebra, "_certified", spy)
     c = LaurentPoly({0: -2 ** 62, 4: 2 ** 62})
     word = ((2, 2), (1, 1))
     got = _times_words({(): c}, [(word, LaurentPoly({0: 1}))])
@@ -253,11 +262,14 @@ def test_widening_rerun_is_exact(monkeypatch):
         {t: QRational(c) * ct
          for t, ct in _slow_expand(word, random.Random(0)).items()}
     assert got[((1, 2), (2, 1))].terms[2] == 2 ** 63
-    assert widths[0] == 64 < widths[1] and len(widths) == 2
-    widths.clear()
+    assert [B for B, _ in runs] == [64, 67]
+    assert runs[-1][1] == sum(_mass(ct) for ct in got.values()) == 3 * 2 ** 63
+    runs.clear()
     diagonal = ((3, 3),) * 6 + ((2, 2),) * 6 + ((1, 1),) * 6
-    assert len(_nf(diagonal)) == 406
-    assert widths[0] == 64 < widths[1] and len(widths) == 2
+    got = _nf(diagonal)
+    assert len(got) == 406
+    assert len(runs) == 2 and runs[0][0] == 64 < runs[1][0]
+    assert runs[-1][1] >= sum(_mass(ct) for ct in got.values())
 
 
 def test_long_word_without_deep_recursion():
