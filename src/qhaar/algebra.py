@@ -52,11 +52,16 @@ def _neg_q_power(e):
 # exponents from below and N = sum_e c_e 2^(B (e - a)) holds the
 # coefficients as signed base-2^B digits.  Multiplying by v^k moves a, a
 # product is one integer multiply and a sum one shift and one add, all of
-# them exact whatever B is.  Only reading the digits back needs every
-# |c_e| < 2^(B - 1), so each call also returns a bound on the total
-# |coefficient| mass of its results (and so of every intermediate one), and
-# _certified decodes only under that bound, rerunning the call at a wider B
-# otherwise.
+# them exact whatever B is.  Only reading the digits back, or testing N for
+# zero, needs every |c_e| < 2^(B - 1), so each call also returns a bound on
+# the total |coefficient| of its results that also covers every
+# intermediate one, and _certified decodes only under that bound, rerunning
+# the call at a wider B otherwise.  A bound that is still below 2^(B - 1)
+# certifies the digits it covers, so it can be replaced by their exact
+# total (_tightened): each memoized insert that splits off words carries
+# the exact total of its result, and a running bound is tightened when it
+# passes 2^(B - 2).  Without that, the bound for x33^10 x22^10 x11^10 has
+# 132 bits where the coefficients total 37.
 
 _WIDTH = 64
 
@@ -70,20 +75,22 @@ def _pack(c, B):
     return a, N
 
 
-def _unpack(a, N, B):
-    """The LaurentPoly of (a, N) at width B, every digit of N below
-    2^(B - 1) in absolute value."""
-    terms = {}
+def _digits(N, B):
+    """The signed base-2^B digits of N, lowest first, for an N whose
+    digits are all below 2^(B - 1) in absolute value."""
     mask, half, full = (1 << B) - 1, 1 << (B - 1), 1 << B
     while N:
         d = N & mask
         if d >= half:
             d -= full
         N = (N - d) >> B
-        if d:
-            terms[a] = d
-        a += 1
-    return LaurentPoly(terms)
+        yield d
+
+
+def _unpack(a, N, B):
+    """The LaurentPoly of (a, N) at width B, every digit of N below
+    2^(B - 1) in absolute value."""
+    return LaurentPoly({a + i: d for i, d in enumerate(_digits(N, B)) if d})
 
 
 def _mass(c):
@@ -91,12 +98,21 @@ def _mass(c):
     return sum(abs(x) for x in c.terms.values())
 
 
+def _tightened(terms, bound, B):
+    """bound on the total |coefficient| of packed terms at width B, or,
+    when it is below 2^(B - 1) and so every digit is exact, the total
+    |digit|, which is no larger."""
+    if bound < 1 << (B - 1):
+        return sum(abs(d) for _a, N in terms.values() for d in _digits(N, B))
+    return bound
+
+
 def _certified(run):
     """(out, B) for run(B) -> (packed out, mass bound): run at B = 64 and,
-    while the bound is not below 2^(B - 1), again at a width it certifies.
-    The rerun repeats the same operations, so its bound is normally the
-    same; the loop also covers a narrow run that dropped a term whose
-    digits overflowed."""
+    while the bound is not below 2^(B - 1), again at the width that bound
+    would certify.  A rerun may widen again, since its bounds are tightened
+    at other points; each width exceeds the last, and the untightened bound
+    is a width at which every run certifies."""
     B = _WIDTH
     while True:
         out, bound = run(B)
@@ -118,7 +134,7 @@ def _insert(high, g, B):
     v^e (q^{-1} - q) nf(high[:p] (i2, j1) (i1, j2)) high[p + 1:].  That
     normal form has no letter above h, so the suffix stays in place.  The
     bound is 1 for the bubbled word plus twice the bound of each split-off
-    normal form."""
+    normal form, tightened."""
     i2, j2 = g
     e = 0
     acc = {}
@@ -136,7 +152,8 @@ def _insert(high, g, B):
             for w, (b, y) in nf.items():
                 _add_packed(acc, w + suffix, e - 2 + b, y - (y << 4 * B), B)
     _add_packed(acc, (g,) + high, e, 1, B)
-    return {w: c for w, c in acc.items() if c[1]}, bound
+    acc = {w: c for w, c in acc.items() if c[1]}
+    return acc, bound if bound == 1 else _tightened(acc, bound, B)
 
 
 def _add_packed(acc, w, a, N, B):
@@ -191,7 +208,8 @@ def _times_packed(terms, mass, words, B):
     """(sum_w c_w nf(terms w), bound) at width B, for packed terms of total
     |coefficient| at most mass and a sorted list words of distinct
     (word, packed c_w, total |c_w|) triples; the bound adds |c_w| times
-    the bound of each nf(terms w).  See _times_words."""
+    the bound of each nf(terms w), each tightened from 2^(B - 2) on.  See
+    _times_words."""
     if len(words) == 1:
         # nothing to sum: scale the one product instead of accumulating it
         (w, (a, c), cm), = words
@@ -205,6 +223,8 @@ def _times_packed(terms, mass, words, B):
         for g in w:
             terms, top = _mul_letter(terms, g, B)
             mass *= top
+            if mass >> (B - 2):
+                mass = _tightened(terms, mass, B)
         if a == 0 and c == 1:
             return terms, mass
         return {t: (a + b, c * x) for t, (b, x) in terms.items()}, mass * cm
@@ -220,7 +240,10 @@ def _times_packed(terms, mass, words, B):
         for g in w[p:]:
             t, m = stack[-1]
             t, top = _mul_letter(t, g, B)
-            stack.append((t, m * top))
+            m *= top
+            if m >> (B - 2):
+                m = _tightened(t, m, B)
+            stack.append((t, m))
         t, m = stack[-1]
         bound += cm * m
         for u, (b, x) in t.items():

@@ -13,7 +13,7 @@ from qhaar.algebra import (
     star, minor_star, apply_morphism, counting_matrix, stochastic_order,
     is_order_m, pseudo_word, lift_det, equal_mod_det, inversions,
     LETTER_TO_GEN, _insert, _neg_q_power, _complement,
-    _det_power_step, _times_words, _mass,
+    _det_power_step, _times_words,
 )
 from qhaar.linsys import enumerate_Bnm
 from qhaar import algebra
@@ -241,9 +241,9 @@ def test_widening_rerun_is_exact(monkeypatch):
     # the kernel decodes only below its certified bound, so a call whose
     # bound reaches 2^63 reruns at a wider width: once from a large input,
     # where c (q^{-1} - q) has the digit 2^63 that a 64-bit digit cannot
-    # hold, and once from small inputs whose rewriting bound passes 2^63.
-    # Each bound covers the total |coefficient| of the result; the first
-    # is exact.
+    # hold, and once from a 46-bit input whose bound passes 2^63 only
+    # through rewriting.  The bound covers the total |coefficient| of the
+    # result, and the first is exact.
     runs = []
     certified = algebra._certified
 
@@ -254,6 +254,9 @@ def test_widening_rerun_is_exact(monkeypatch):
             return out
         return certified(logged)
 
+    def mass(terms):
+        return sum(abs(x) for c in terms.values() for x in c.terms.values())
+
     monkeypatch.setattr(algebra, "_certified", spy)
     c = LaurentPoly({0: -2 ** 62, 4: 2 ** 62})
     word = ((2, 2), (1, 1))
@@ -263,13 +266,25 @@ def test_widening_rerun_is_exact(monkeypatch):
          for t, ct in _slow_expand(word, random.Random(0)).items()}
     assert got[((1, 2), (2, 1))].terms[2] == 2 ** 63
     assert [B for B, _ in runs] == [64, 67]
-    assert runs[-1][1] == sum(_mass(ct) for ct in got.values()) == 3 * 2 ** 63
+    assert runs[-1][1] == mass(got) == 3 * 2 ** 63
+    # 2^64 - 1 reads back at 64 bits as the digits -1 and 1: a bound past
+    # 2^63 must not be replaced by the total of such digits
     runs.clear()
+    c = LaurentPoly({0: 2 ** 64 - 1})
+    got = _times_words({(): c}, [(word, LaurentPoly({0: 1}))])
+    assert {t: QRational(ct) for t, ct in got.items()} == \
+        {t: QRational(c) * ct
+         for t, ct in _slow_expand(word, random.Random(0)).items()}
+    assert runs[0][0] == 64 < runs[-1][0]
     diagonal = ((3, 3),) * 6 + ((2, 2),) * 6 + ((1, 1),) * 6
-    got = _nf(diagonal)
-    assert len(got) == 406
-    assert len(runs) == 2 and runs[0][0] == 64 < runs[1][0]
-    assert runs[-1][1] >= sum(_mass(ct) for ct in got.values())
+    want = _nf(diagonal)
+    assert runs[-1][0] == 64 and runs[-1][1] < 2 ** 63
+    runs.clear()
+    c = LaurentPoly({0: 2 ** 45})
+    got = _times_words({(): c}, [(diagonal, LaurentPoly({0: 1}))])
+    assert got == {t: c * ct for t, ct in want.items()}
+    assert runs[0][0] == 64 < runs[-1][0]
+    assert runs[-1][1] >= mass(got) >= 2 ** 63
 
 
 def test_long_word_without_deep_recursion():
