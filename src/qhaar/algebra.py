@@ -9,12 +9,13 @@ it is always expanded into generator words, so a canonical form is unique
 for a fixed det power.
 """
 
-from bisect import bisect_right
 from functools import cache
 from itertools import permutations
 
-from .scalars import LaurentPoly, QRational, ZERO, ONE, qq, fraction_sum, \
-    _LP_ONE, _addmul, _bucket_sum
+from .scalars import QRational, ZERO, ONE, qq, fraction_sum, _LP_ONE, \
+    _addmul, _bucket_sum
+from .rewriter import _add_packed, _certified, _mass, _mul_letter, _pack, \
+    _times_packed, _times_words, _unpack
 
 # letter aliases for n = 3, row-major ('i' and 'j' are reserved for indices)
 LETTERS = "abcdefghk"
@@ -35,247 +36,7 @@ def _neg_q_power(e):
 
 
 # ---------------------------------------------------------------------
-# the rewriting engine
-#
-# Normal forms are built one letter at a time: for a canonical word t and a
-# generator g, t g = low (high g), where low holds the letters of t that are
-# <= g and high the rest, and only high g needs rewriting.  No switching rule
-# produces a letter outside the range of the pair it rewrites, so every word
-# of nf(high g) has letters >= g and low stays in front.  _insert memoizes
-# nf(high g); _times_words is the one routine that inserts whole words, and
-# every normal form (constructor, products, action images, linear-system
-# rows) goes through it, except the coproduct legs, which grow one letter
-# at a time through _mul_letter.
-#
-# Inside the engine a coefficient, a Laurent polynomial in v with integer
-# coefficients, is one pair (a, N) (Kronecker substitution): a bounds its
-# exponents from below and N = sum_e c_e 2^(B (e - a)) holds the
-# coefficients as signed base-2^B digits.  Multiplying by v^k moves a, a
-# product is one integer multiply and a sum one shift and one add, all of
-# them exact whatever B is.  Only reading the digits back, or testing N for
-# zero, needs every |c_e| < 2^(B - 1), so each call also returns a bound on
-# the total |coefficient| of its results that also covers every
-# intermediate one, and _certified decodes only under that bound, rerunning
-# the call at a wider B otherwise.  A bound that is still below 2^(B - 1)
-# certifies the digits it covers, so it can be replaced by their exact
-# total (_tightened): each memoized insert that splits off words carries
-# the exact total of its result, and a running bound is tightened when it
-# passes 2^(B - 2).  Without that, the bound for x33^10 x22^10 x11^10 has
-# 132 bits where the coefficients total 37.
-
-_WIDTH = 64
-
-
-def _pack(c, B):
-    """(a, N) of a nonzero LaurentPoly c at digit width B."""
-    a = min(c.terms)
-    N = 0
-    for e, x in c.terms.items():
-        N += x << B * (e - a)
-    return a, N
-
-
-def _digits(N, B):
-    """The signed base-2^B digits of N, lowest first, for an N whose
-    digits are all below 2^(B - 1) in absolute value."""
-    mask, half, full = (1 << B) - 1, 1 << (B - 1), 1 << B
-    while N:
-        d = N & mask
-        if d >= half:
-            d -= full
-        N = (N - d) >> B
-        yield d
-
-
-def _unpack(a, N, B):
-    """The LaurentPoly of (a, N) at width B, every digit of N below
-    2^(B - 1) in absolute value."""
-    return LaurentPoly({a + i: d for i, d in enumerate(_digits(N, B)) if d})
-
-
-def _mass(c):
-    """The total |coefficient| of a LaurentPoly."""
-    return sum(abs(x) for x in c.terms.values())
-
-
-def _tightened(terms, bound, B):
-    """bound on the total |coefficient| of packed terms at width B, or,
-    when it is below 2^(B - 1) and so every digit is exact, the total
-    |digit|, which is no larger."""
-    if bound < 1 << (B - 1):
-        return sum(abs(d) for _a, N in terms.values() for d in _digits(N, B))
-    return bound
-
-
-def _certified(run):
-    """(out, B) for run(B) -> (packed out, mass bound): run at B = 64 and,
-    while the bound is not below 2^(B - 1), again at the width that bound
-    would certify.  A rerun may widen again, since its bounds are tightened
-    at other points; each width exceeds the last, and the untightened bound
-    is a width at which every run certifies."""
-    B = _WIDTH
-    while True:
-        out, bound = run(B)
-        if bound < 1 << (B - 1):
-            return out, B
-        B = bound.bit_length() + 2
-
-
-@cache
-def _insert(high, g, B):
-    """(nf(high g), bound) for a canonical word high, possibly empty, whose
-    letters all exceed the generator g: a dict canonical word -> packed
-    coefficient at width B, and a bound on its total |coefficient|.
-
-    g bubbles leftwards through high.  Passing a letter in its row or column
-    multiplies by q^{-1} = v^{-2}; passing an anti-diagonal letter is free;
-    passing h = high[p] = (i1, j1) strictly below and right of g = (i2, j2),
-    i.e. i1 > i2 and j1 > j2, also splits off
-    v^e (q^{-1} - q) nf(high[:p] (i2, j1) (i1, j2)) high[p + 1:].  That
-    normal form has no letter above h, so the suffix stays in place.  The
-    bound is 1 for the bubbled word plus twice the bound of each split-off
-    normal form, tightened."""
-    i2, j2 = g
-    e = 0
-    acc = {}
-    bound = 1
-    for p in range(len(high) - 1, -1, -1):
-        i1, j1 = high[p]
-        if i1 == i2 or j1 == j2:
-            e -= 2
-        elif j1 > j2:
-            # v^e (q^{-1} - q) = v^(e - 2) (1 - v^4)
-            suffix = high[p + 1:]
-            nf, lam = _times_packed({high[:p]: (0, 1)}, 1,
-                                    [(((i2, j1), (i1, j2)), (0, 1), 1)], B)
-            bound += 2 * lam
-            for w, (b, y) in nf.items():
-                _add_packed(acc, w + suffix, e - 2 + b, y - (y << 4 * B), B)
-    _add_packed(acc, (g,) + high, e, 1, B)
-    acc = {w: c for w, c in acc.items() if c[1]}
-    return acc, bound if bound == 1 else _tightened(acc, bound, B)
-
-
-def _add_packed(acc, w, a, N, B):
-    """acc[w] += (a, N), shifting the one with the larger a."""
-    old = acc.get(w)
-    if old is None:
-        acc[w] = (a, N)
-    elif old[0] <= a:
-        acc[w] = (old[0], old[1] + (N << B * (a - old[0])))
-    else:
-        acc[w] = (a, N + (old[1] << B * (old[0] - a)))
-
-
-def _mul_letter(terms, g, B):
-    """(nf(terms g), top) for a dict terms of canonical words -> nonzero
-    packed coefficients at width B and a generator g: the packed normal
-    form, and the largest bound of the inserts it used, so that its mass
-    is at most top times that of terms."""
-    acc = {}
-    top = 1
-    cancelled = False
-    for t, (a, x) in terms.items():
-        s = bisect_right(t, g)
-        nf, bound = _insert(t[s:], g, B)
-        low = t[:s]
-        if bound > top:
-            top = bound
-        for w, (b, y) in nf.items():
-            # _add_packed, inlined in this loop and _times_packed's
-            w = low + w
-            b += a
-            y *= x
-            old = acc.get(w)
-            if old is None:
-                acc[w] = (b, y)
-                continue
-            b0, y0 = old
-            if b0 <= b:
-                y = y0 + (y << B * (b - b0))
-                b = b0
-            else:
-                y += y0 << B * (b0 - b)
-            acc[w] = (b, y)
-            if not y:
-                cancelled = True
-    if cancelled:
-        acc = {w: c for w, c in acc.items() if c[1]}
-    return acc, top
-
-
-def _times_packed(terms, mass, words, B):
-    """(sum_w c_w nf(terms w), bound) at width B, for packed terms of total
-    |coefficient| at most mass and a sorted list words of distinct
-    (word, packed c_w, total |c_w|) triples; the bound adds |c_w| times
-    the bound of each nf(terms w), each tightened from 2^(B - 2) on.  See
-    _times_words."""
-    if len(words) == 1:
-        # nothing to sum: scale the one product instead of accumulating it
-        (w, (a, c), cm), = words
-        if len(terms) == 1 and () in terms:
-            # from the empty word, w's longest non-decreasing prefix is
-            # already canonical
-            p = 1
-            while p < len(w) and w[p - 1] <= w[p]:
-                p += 1
-            terms, w = {w[:p]: terms[()]}, w[p:]
-        for g in w:
-            terms, top = _mul_letter(terms, g, B)
-            mass *= top
-            if mass >> (B - 2):
-                mass = _tightened(terms, mass, B)
-        if a == 0 and c == 1:
-            return terms, mass
-        return {t: (a + b, c * x) for t, (b, x) in terms.items()}, mass * cm
-    acc = {}
-    bound = 0
-    stack = [(terms, mass)]     # stack[t] = nf(terms w[:t]) for the last w
-    prev = ()
-    for w, (a, c), cm in words:
-        p = 0
-        while p < len(prev) and prev[p] == w[p]:
-            p += 1
-        del stack[p + 1:]
-        for g in w[p:]:
-            t, m = stack[-1]
-            t, top = _mul_letter(t, g, B)
-            m *= top
-            if m >> (B - 2):
-                m = _tightened(t, m, B)
-            stack.append((t, m))
-        t, m = stack[-1]
-        bound += cm * m
-        for u, (b, x) in t.items():
-            b += a
-            x *= c
-            old = acc.get(u)
-            if old is None:
-                acc[u] = (b, x)
-            elif old[0] <= b:
-                acc[u] = (old[0], old[1] + (x << B * (b - old[0])))
-            else:
-                acc[u] = (b, x + (old[1] << B * (old[0] - b)))
-        prev = w
-    return {w: c for w, c in acc.items() if c[1]}, bound
-
-
-def _times_words(terms, words):
-    """sum_w c_w nf(terms w) for a dict terms of canonical words ->
-    LaurentPoly and a sorted list words of distinct (word, c_w) pairs, where
-    a word is any tuple of generators, canonical or not: dict canonical
-    word -> LaurentPoly, all coefficients nonzero.  Letters are inserted
-    one at a time, and neighbouring words share the products of their
-    common prefix.  The
-    words may differ in length: sorted order puts a word before its
-    extensions, so no word is a proper prefix of the one before it and the
-    prefix scan stays inside w.  Every rewriting coefficient has
-    denominator 1.  nf(w) itself is _times_words({(): 1}, [(w, 1)])."""
-    mass = sum(_mass(c) for c in terms.values())
-    out, B = _certified(lambda B: _times_packed(
-        {t: _pack(c, B) for t, c in terms.items()}, mass,
-        [(w, _pack(c, B), _mass(c)) for w, c in words], B))
-    return {t: _unpack(a, N, B) for t, (a, N) in out.items()}
+# products of canonical terms
 
 
 def _wrap(acc):

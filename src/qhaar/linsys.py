@@ -6,7 +6,7 @@ invariance system of a given order from the left action of U_q(gl_n),
 solves it exactly, and runs the recursive Source-matrix scheme that
 yields h(x_{sigma_0}^m) on O(U_q(n)) without touching the full system.
 Every normal form here, of an action image or of a Source-matrix word,
-comes from the one insertion routine `algebra._times_words`.
+comes from the one insertion routine `rewriter._times_words`.
 """
 
 from itertools import combinations, permutations, product
@@ -15,7 +15,8 @@ from .scalars import QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
     over_common_denominator, qdot
 from .algebra import (AlgebraElement, counting_matrix, stochastic_order,
                       pseudo_word, quantum_determinant_power, inversions,
-                      _neg_q_power, _rho_exponent, _times_words)
+                      _neg_q_power, _rho_exponent)
+from .rewriter import _times_words
 from .actions import act
 
 # conservative solvability bounds for the full system and the Source matrix

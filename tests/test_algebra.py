@@ -12,11 +12,11 @@ from qhaar.algebra import (
     quantum_minor, quantum_determinant, quantum_determinant_power, antipode,
     star, minor_star, apply_morphism, counting_matrix, stochastic_order,
     is_order_m, pseudo_word, lift_det, equal_mod_det, inversions,
-    LETTER_TO_GEN, _insert, _neg_q_power, _complement,
-    _det_power_step, _times_words,
+    LETTER_TO_GEN, _neg_q_power, _complement, _det_power_step,
 )
 from qhaar.linsys import enumerate_Bnm
-from qhaar import algebra
+from qhaar.rewriter import _insert, _times_words
+from qhaar import rewriter
 
 E = AlgebraElement
 
@@ -193,8 +193,8 @@ def test_sorted_prefix_is_not_reinserted(monkeypatch):
     # from the empty word, a word's longest non-decreasing prefix is already
     # canonical: only the letters after it are inserted
     seen = []
-    mul_letter = algebra._mul_letter
-    monkeypatch.setattr(algebra, "_mul_letter",
+    mul_letter = rewriter._mul_letter
+    monkeypatch.setattr(rewriter, "_mul_letter",
                         lambda t, g, B: seen.append(g) or mul_letter(t, g, B))
     w = ((1, 1), (1, 3), (2, 2), (2, 1), (3, 3))
     c = LaurentPoly({1: 2})
@@ -245,7 +245,7 @@ def test_widening_rerun_is_exact(monkeypatch):
     # through rewriting.  The bound covers the total |coefficient| of the
     # result, and the first is exact.
     runs = []
-    certified = algebra._certified
+    certified = rewriter._certified
 
     def spy(run):
         def logged(B):
@@ -257,7 +257,7 @@ def test_widening_rerun_is_exact(monkeypatch):
     def mass(terms):
         return sum(abs(x) for c in terms.values() for x in c.terms.values())
 
-    monkeypatch.setattr(algebra, "_certified", spy)
+    monkeypatch.setattr(rewriter, "_certified", spy)
     c = LaurentPoly({0: -2 ** 62, 4: 2 ** 62})
     word = ((2, 2), (1, 1))
     got = _times_words({(): c}, [(word, LaurentPoly({0: 1}))])

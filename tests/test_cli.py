@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhaar.algebra import (LETTER_TO_GEN, AlgebraElement, quantum_determinant,
-                           star, _insert)
+                           star)
+from qhaar.rewriter import _insert
 from qhaar import cli
 from qhaar.cli import ParseError, parse, run_command
 from qhaar.linsys import VerificationError

@@ -184,7 +184,7 @@ def test_import_fills_no_cache():
     # the package's whole memo inventory: a module-level cache added or
     # removed shows up here
     assert set(sizes) == {
-        "qhaar.algebra._insert", "qhaar.algebra.quantum_determinant_power",
+        "qhaar.rewriter._insert", "qhaar.algebra.quantum_determinant_power",
         "qhaar.algebra._det_power_step", "qhaar.corep._closed_pair",
         "qhaar.haar.haar_pseudo", "qhaar.haar.haar_ref",
         "qhaar.haar._system_values",
