@@ -287,6 +287,32 @@ def test_widening_rerun_is_exact(monkeypatch):
     assert runs[-1][1] >= mass(got) >= 2 ** 63
 
 
+@pytest.mark.parametrize("width", [3, 6])
+def test_narrow_start_width_matches(monkeypatch, width):
+    # from a start width of a few bits nearly every call reruns, so each
+    # structural bound decides whether digits are read back: a bound that
+    # undercounts would let a digit overflow unnoticed.  Every bound that
+    # is tightened must also cover the exact total that replaces it.
+    tightened = rewriter._tightened
+
+    def checked(terms, bound, B):
+        exact = tightened(terms, bound, B)
+        assert exact <= bound
+        return exact
+
+    monkeypatch.setattr(rewriter, "_tightened", checked)
+    _insert.cache_clear()
+    rng = random.Random(width)
+    gens = list(LETTER_TO_GEN.values())
+    words = [((3, 3),) * k + ((2, 2),) * k + ((1, 1),) * k
+             for k in range(1, 6)]
+    words += [tuple(rng.choice(gens) for _ in range(rng.randint(2, 9)))
+              for _ in range(40)]
+    want = [_nf(w) for w in words]
+    monkeypatch.setattr(rewriter, "_WIDTH", width)
+    assert [_nf(w) for w in words] == want
+
+
 def test_long_word_without_deep_recursion():
     # x13^N x22 x11 = q^-N x11 x13^N x22 + (q^-1 - q) q^-N x12 x13^N x21:
     # one extra word, but N switches of x11 and of x12, N above the limit
