@@ -12,10 +12,8 @@ for a fixed det power.
 from functools import cache
 from itertools import permutations
 
-from .scalars import QRational, ZERO, ONE, qq, fraction_sum, _LP_ONE, \
-    _addmul, _bucket_sum
-from .rewriter import _add_packed, _certified, _mass, _mul_letter, _pack, \
-    _times_packed, _times_words, _unpack
+from .scalars import QRational, ZERO, ONE, qq, fraction_sum, _bucket_sum
+from .rewriter import _coproduct_legs, _times_words
 
 # letter aliases for n = 3, row-major ('i' and 'j' are reserved for indices)
 LETTERS = "abcdefghk"
@@ -39,6 +37,18 @@ def _neg_q_power(e):
 # products of canonical terms
 
 
+def _add_bucket(acc, key, den, c):
+    """acc[key][den] += c for a Laurent coefficient c, a dict v-exponent ->
+    integer from the rewriter, which a new bucket keeps as it is."""
+    buckets = acc.setdefault(key, {})
+    old = buckets.get(den)
+    if old is None:
+        buckets[den] = c
+    else:
+        for e, x in c.items():
+            old[e] = old.get(e, 0) + x
+
+
 def _wrap(acc):
     """{key: QRational} from {key: {den: v-exponent -> integer coefficient}},
     one exact sum per key; zero sums are dropped."""
@@ -60,22 +70,21 @@ def _product(left, right):
     det, denominator) before one normalization per term (_wrap)."""
     groups = {}
     for (f, d), c in left.items():
-        groups.setdefault((d, c.den), {})[f] = c.num
+        groups.setdefault((d, c.den), {})[f] = c.num.terms
     words = {}
     for (f, d), c in right.items():
         if c.is_zero():
             continue
         if d < 0:
             raise ValueError("det power must be >= 0")
-        words.setdefault((d, c.den), []).append((tuple(f), c.num))
+        words.setdefault((d, c.den), []).append((tuple(f), c.num.terms))
     acc = {}
     for (d2, den2), ws in words.items():
         ws.sort(key=lambda wc: wc[0])
         for (d1, den1), terms in groups.items():
             det, den = d1 + d2, den1 * den2
             for w, c in _times_words(terms, ws).items():
-                _addmul(acc.setdefault((w, det), {}).setdefault(den, {}),
-                        c, _LP_ONE)
+                _add_bucket(acc, (w, det), den, c)
     return _wrap(acc)
 
 
@@ -242,42 +251,15 @@ class TensorElement:
         return iter(self.terms.items())
 
 
-def _coproduct_legs(n, factors, B):
-    """(Delta of the word factors, bound) at width B: a dict of
-    normal-ordered leg pairs -> packed coefficient, and a bound on its
-    total |coefficient|.  Delta is applied letter by letter,
-    Delta(w x_{i,j}) = sum_k Delta(w) (x_{i,k} (x) x_{k,j}), so equal pairs
-    merge as they arise; a letter multiplies the bound by the largest
-    sum over k of the two legs' insert bounds."""
-    pairs, mass = {((), ()): (0, 1)}, 1
-    for (i, j) in factors:
-        nxt = {}
-        step = 1
-        for (lw, rw), c in pairs.items():
-            s = 0
-            for k in range(1, n + 1):
-                right, br = _mul_letter({rw: (0, 1)}, (k, j), B)
-                left, bl = _mul_letter({lw: c}, (i, k), B)
-                s += bl * br
-                for cl, (a, x) in left.items():
-                    for cr, (b, y) in right.items():
-                        _add_packed(nxt, (cl, cr), a + b, x * y, B)
-            step = max(step, s)
-        pairs, mass = {p: c for p, c in nxt.items() if c[1]}, mass * step
-    return pairs, mass
-
-
 def comultiply(x):
     """Coproduct into a TensorElement, both legs normal-ordered
-    (_coproduct_legs)."""
+    (rewriter._coproduct_legs)."""
     n = x.n
     acc = {}
     for (factors, det), coeff in x.terms.items():
-        pairs, B = _certified(lambda B: _coproduct_legs(n, factors, B))
-        for (cl, cr), (a, N) in pairs.items():
-            key = ((cl, det), (cr, det))
-            _addmul(acc.setdefault(key, {}).setdefault(coeff.den, {}),
-                    coeff.num, _unpack(a, N, B))
+        for (cl, cr), c in _coproduct_legs(n, factors,
+                                           coeff.num.terms).items():
+            _add_bucket(acc, ((cl, det), (cr, det)), coeff.den, c)
     return TensorElement(n, _wrap(acc))
 
 
@@ -335,34 +317,23 @@ def _anti_extend(x, gen_image):
     and det_q^{-1} -> D_q, linear over scalars, in one pass.  Each
     generator image, a sum of words at det power 1 with integer
     coefficients, is formed once.  A term c x_{f_1} ... x_{f_L} det^-d
-    maps to c D_q^d image(f_L) ... image(f_1) det^-L: each letter's image
-    words are inserted into the packed normal form so far, and each output
-    term is normalized once (_wrap)."""
+    maps to c D_q^d image(f_L) ... image(f_1) det^-L, in one call of
+    _times_words that inserts each letter's image words into the normal
+    form so far, and each output term is normalized once (_wrap)."""
     n = x.n
     images = {}
     acc = {}
     for (factors, det), c in x.terms.items():
         for g in factors:
             if g not in images:
-                images[g] = sorted(((w, cw.num) for (w, _d), cw
+                images[g] = sorted(((w, cw.num.terms) for (w, _d), cw
                                     in gen_image(n, *g).terms.items()),
                                    key=lambda wc: wc[0])
-        left = {w: cw.num for (w, _d), cw
+        left = {w: (cw.num * c.num).terms for (w, _d), cw
                 in quantum_determinant_power(n, det).terms.items()}
-
-        def run(B):
-            terms = {t: _pack(ct, B) for t, ct in left.items()}
-            mass = sum(_mass(ct) for ct in left.values())
-            for g in reversed(factors):
-                terms, mass = _times_packed(
-                    terms, mass, [(w, _pack(cw, B), _mass(cw))
-                                  for w, cw in images[g]], B)
-            return terms, mass
-
-        terms, B = _certified(run)
-        for w, (a, N) in terms.items():
-            _addmul(acc.setdefault((w, len(factors)), {}).setdefault(
-                c.den, {}), c.num, _unpack(a, N, B))
+        words = [images[g] for g in reversed(factors)]
+        for w, cw in _times_words(left, *words).items():
+            _add_bucket(acc, (w, len(factors)), c.den, cw)
     return AlgebraElement(n, _wrap(acc), canonical=True)
 
 

@@ -11,7 +11,7 @@ comes from the one insertion routine `rewriter._times_words`.
 
 from itertools import combinations, permutations, product
 
-from .scalars import QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
+from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
     over_common_denominator, qdot
 from .algebra import (AlgebraElement, counting_matrix, stochastic_order,
                       pseudo_word, quantum_determinant_power, inversions,
@@ -69,10 +69,9 @@ def enumerate_Bnm(n, m):
     return _counting_matrices((m,) * n, (m,) * n)
 
 
-def detq_power_expand(n, m, override_feasibility=False):
+def detq_power_expand(n, m):
     """Coefficients b_L of D_q^m over the canonical pseudo-basis, keyed by
     counting matrix."""
-    _check_feasible(n, m, _SYSTEM_BOUNDS, override_feasibility)
     out = {}
     for (factors, det), c in quantum_determinant_power(n, m).terms.items():
         theta = counting_matrix(n, factors)
@@ -120,7 +119,7 @@ def build_system(n, m, override_feasibility=False):
                 if coeffs:
                     rows.append((coeffs, ZERO,
                                  ("invariance", (kind, k), theta)))
-    rows.append((detq_power_expand(n, m, override_feasibility), ONE,
+    rows.append((detq_power_expand(n, m), ONE,
                  ("normalization",)))
     return HaarLinearSystem(n, m, enumerate_Bnm(n, m), rows)
 
@@ -258,10 +257,10 @@ def _eta_reduction(n, m, sigma, f):
     e += 2 * _rho_exponent(n, [g for g in specials if pol[g] >= 0])
     prefix = tuple(sorted(specials, key=lambda g: (pol[g] < 0, pol[g])))
     out = {}
-    for cw, cc in _times_words({(): _LP_ONE}, [(prefix, _LP_ONE)]).items():
+    for cw, cc in _times_words({(): {0: 1}}, [(prefix, {0: 1})]).items():
         tau = tuple(j for (_i, j) in cw)
         assert sorted(tau) == list(range(1, n + 1))
-        out[tau] = out.get(tau, _LP_ZERO) + cc.shift(e)
+        out[tau] = out.get(tau, _LP_ZERO) + LaurentPoly(cc).shift(e)
     return out
 
 
@@ -275,8 +274,7 @@ def source_matrix_solve(n, m, override_feasibility=False):
     perms = list(permutations(range(1, n + 1)))
     value = ONE
     for mu in range(1, m + 1):
-        # the Source bounds were checked above; mu may exceed the system's
-        b = detq_power_expand(n, mu, override_feasibility=True)
+        b = detq_power_expand(n, mu)
         rows = []
         for sigma in perms:
             if sigma == tuple(range(1, n + 1)):
@@ -294,9 +292,9 @@ def source_matrix_solve(n, m, override_feasibility=False):
                            + [(r, r)] * (mu - 1 - f[r - 1]))
                 # the zeta leg row-reorders onto the comparing basis without
                 # extra terms, contributing a single power of q
-                exp = _times_words({(): _LP_ONE}, [(zw, _LP_ONE)])
+                exp = _times_words({(): {0: 1}}, [(zw, {0: 1})])
                 assert len(exp) == 1 and pseudo_word(theta) in exp
-                lam = exp[pseudo_word(theta)]
+                lam = LaurentPoly(exp[pseudo_word(theta)])
                 for tau, c in _eta_reduction(n, mu, sigma, f).items():
                     coeffs[tau] = coeffs.get(tau, _LP_ZERO) + lam * c
             coeffs = {k: QRational(v, _LP_ONE, _reduced=True)

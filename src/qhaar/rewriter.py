@@ -5,42 +5,41 @@ generator g, t g = low (high g), where low holds the letters of t that are
 <= g and high the rest, and only high g needs rewriting.  No switching rule
 produces a letter outside the range of the pair it rewrites, so every word
 of nf(high g) has letters >= g and low stays in front.  _insert memoizes
-nf(high g); _times_words is the one routine that inserts whole words, and
-every normal form (constructor, products, action images, linear-system
-rows) goes through it, except the coproduct legs, which grow one letter
-at a time through _mul_letter.
+nf(high g).  The engine has two entries: _times_words, the one routine that
+inserts whole words, through which every normal form goes (constructor,
+products, star and antipode, action images, linear-system rows), and
+_coproduct_legs, which grows both legs of a coproduct one letter at a time.
+Both take and return Laurent coefficients with integer coefficients, as
+dicts v-exponent -> integer.
 
-Inside the engine a coefficient, a Laurent polynomial in v with integer
-coefficients, is one pair (a, N) (Kronecker substitution): a bounds its
-exponents from below and N = sum_e c_e 2^(B (e - a)) holds the
-coefficients as signed base-2^B digits.  Multiplying by v^k moves a, a
-product is one integer multiply and a sum one shift and one add, all of
-them exact whatever B is.  Only reading the digits back, or testing N for
-zero, needs every |c_e| < 2^(B - 1), so each call also returns a bound on
-the total |coefficient| of its results that also covers every
-intermediate one, and _certified decodes only under that bound, rerunning
-the call at a wider B otherwise.  A bound that is still below 2^(B - 1)
-certifies the digits it covers, so it can be replaced by their exact
-total (_tightened): each memoized insert that splits off words carries
-the exact total of its result, and a running bound is tightened when it
-passes 2^(B - 2).  Without that, the bound for x33^10 x22^10 x11^10 has
-132 bits where the coefficients total 37.
+Inside the engine a coefficient is one pair (a, N) (Kronecker
+substitution): a bounds its exponents from below and
+N = sum_e c_e 2^(B (e - a)) holds the coefficients as signed base-2^B
+digits.  Multiplying by v^k moves a, a product is one integer multiply and
+a sum one shift and one add, all of them exact whatever B is.  Only reading
+the digits back, or testing N for zero, needs every |c_e| < 2^(B - 1), so
+each computation also returns a bound on the total |coefficient| of its
+results that also covers every intermediate one, and _certified decodes
+only under that bound, rerunning the computation at a wider B otherwise.
+A bound that is still below 2^(B - 1) certifies the digits it covers, so it
+can be replaced by their exact total (_tightened): each memoized insert
+that splits off words carries the exact total of its result, and a running
+bound is tightened when it passes 2^(B - 2).  Without that, the bound for
+x33^10 x22^10 x11^10 has 132 bits where the coefficients total 37.
 """
 
 from bisect import bisect_right
 from functools import cache
-
-from .scalars import LaurentPoly
 
 
 _WIDTH = 64
 
 
 def _pack(c, B):
-    """(a, N) of a nonzero LaurentPoly c at digit width B."""
-    a = min(c.terms)
+    """(a, N) of a nonzero Laurent coefficient c at digit width B."""
+    a = min(c)
     N = 0
-    for e, x in c.terms.items():
+    for e, x in c.items():
         N += x << B * (e - a)
     return a, N
 
@@ -57,15 +56,9 @@ def _digits(N, B):
         yield d
 
 
-def _unpack(a, N, B):
-    """The LaurentPoly of (a, N) at width B, every digit of N below
-    2^(B - 1) in absolute value."""
-    return LaurentPoly({a + i: d for i, d in enumerate(_digits(N, B)) if d})
-
-
 def _mass(c):
-    """The total |coefficient| of a LaurentPoly."""
-    return sum(abs(x) for x in c.terms.values())
+    """The total |coefficient| of a Laurent coefficient."""
+    return sum(abs(x) for x in c.values())
 
 
 def _tightened(terms, bound, B):
@@ -78,16 +71,18 @@ def _tightened(terms, bound, B):
 
 
 def _certified(run):
-    """(out, B) for run(B) -> (packed out, mass bound): run at B = 64 and,
-    while the bound is not below 2^(B - 1), again at the width that bound
-    would certify.  A rerun may widen again, since its bounds are tightened
-    at other points; each width exceeds the last, and the untightened bound
-    is a width at which every run certifies."""
+    """The result of run(B) -> (dict key -> packed coefficient, mass bound),
+    decoded to a dict key -> Laurent coefficient: run at B = 64 and, while
+    the bound is not below 2^(B - 1), again at the width that bound would
+    certify.  A rerun may widen again, since its bounds are tightened at
+    other points; each width exceeds the last, and the untightened bound is
+    a width at which every run certifies."""
     B = _WIDTH
     while True:
         out, bound = run(B)
         if bound < 1 << (B - 1):
-            return out, B
+            return {k: {a + i: d for i, d in enumerate(_digits(N, B)) if d}
+                    for k, (a, N) in out.items()}
         B = bound.bit_length() + 2
 
 
@@ -230,19 +225,54 @@ def _times_packed(terms, mass, words, B):
     return {w: c for w, c in acc.items() if c[1]}, bound
 
 
-def _times_words(terms, words):
-    """sum_w c_w nf(terms w) for a dict terms of canonical words ->
-    LaurentPoly and a sorted list words of distinct (word, c_w) pairs, where
-    a word is any tuple of generators, canonical or not: dict canonical
-    word -> LaurentPoly, all coefficients nonzero.  Letters are inserted
-    one at a time, and neighbouring words share the products of their
-    common prefix.  The
-    words may differ in length: sorted order puts a word before its
+def _times_words(terms, *word_lists):
+    """terms W_1 ... W_k in normal form, W_i = sum_w c_w w over the i-th of
+    word_lists: each list's words are inserted into the normal form of
+    terms times the lists before it.  terms is a dict canonical word ->
+    coefficient, each list a sorted list of distinct (word, c_w) pairs,
+    where a word is any tuple of generators, canonical or not, and the
+    result a dict canonical word -> coefficient; every coefficient is a
+    nonzero Laurent coefficient, a dict v-exponent -> integer, since every
+    rewriting coefficient has denominator 1.  Letters are inserted one at a
+    time, and neighbouring words share the products of their common prefix.
+    The words may differ in length: sorted order puts a word before its
     extensions, so no word is a proper prefix of the one before it and the
-    prefix scan stays inside w.  Every rewriting coefficient has
-    denominator 1.  nf(w) itself is _times_words({(): 1}, [(w, 1)])."""
+    prefix scan stays inside w.  nf(w) itself is
+    _times_words({(): {0: 1}}, [(w, {0: 1})])."""
     mass = sum(_mass(c) for c in terms.values())
-    out, B = _certified(lambda B: _times_packed(
-        {t: _pack(c, B) for t, c in terms.items()}, mass,
-        [(w, _pack(c, B), _mass(c)) for w, c in words], B))
-    return {t: _unpack(a, N, B) for t, (a, N) in out.items()}
+
+    def run(B):
+        t, m = {w: _pack(c, B) for w, c in terms.items()}, mass
+        for words in word_lists:
+            t, m = _times_packed(t, m, [(w, _pack(c, B), _mass(c))
+                                        for w, c in words], B)
+        return t, m
+    return _certified(run)
+
+
+def _coproduct_legs(n, factors, c):
+    """Delta(c x_{f_1} ... x_{f_L}) at rank n for the word factors and a
+    Laurent coefficient c: a dict (left leg, right leg) -> Laurent
+    coefficient, both legs canonical.  Delta is applied letter by letter,
+    Delta(w x_{i,j}) = sum_k Delta(w) (x_{i,k} (x) x_{k,j}), so equal pairs
+    merge as they arise; a letter multiplies the bound by the largest sum
+    over k of the two legs' insert bounds."""
+    def run(B):
+        pairs, mass = {((), ()): _pack(c, B)}, _mass(c)
+        for (i, j) in factors:
+            nxt = {}
+            step = 1
+            for (lw, rw), cp in pairs.items():
+                s = 0
+                for k in range(1, n + 1):
+                    right, br = _mul_letter({rw: (0, 1)}, (k, j), B)
+                    left, bl = _mul_letter({lw: cp}, (i, k), B)
+                    s += bl * br
+                    for cl, (a, x) in left.items():
+                        for cr, (b, y) in right.items():
+                            _add_packed(nxt, (cl, cr), a + b, x * y, B)
+                step = max(step, s)
+            pairs = {p: cp for p, cp in nxt.items() if cp[1]}
+            mass *= step
+        return pairs, mass
+    return _certified(run)

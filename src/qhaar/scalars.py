@@ -101,26 +101,7 @@ class LaurentPoly:
         object.__setattr__(r, "terms", {k + e: c for k, c in self.terms.items()})
         return r
 
-    # -- conversion helpers for gcd/division --------------------------
-
-    def stride(self):
-        """The gcd s of e - valuation over the exponents e, 0 for a monomial
-        or zero: self is v^valuation * P(v^s)."""
-        lo, s = self.valuation(), 0
-        for e in self.terms:
-            s = math.gcd(s, e - lo)
-        return s
-
-    def _dense(self, s=1):
-        """(valuation, little-endian coefficient list in w = v^s), for an
-        s that divides the stride."""
-        if not self.terms:
-            return 0, []
-        lo, hi = self.valuation(), self.degree()
-        coeffs = [0] * ((hi - lo) // s + 1)
-        for e, c in self.terms.items():
-            coeffs[(e - lo) // s] = c
-        return lo, coeffs
+    # -- conversion helper for gcd/division ---------------------------
 
     @staticmethod
     def _from_dense(lo, coeffs, s=1):
@@ -132,8 +113,7 @@ class LaurentPoly:
         stride, then N a^lo / b^hi as one Fraction."""
         v0 = Fraction(v0)
         a, b = v0.numerator, v0.denominator
-        s = self.stride() or 1
-        lo, coeffs = self._dense(s)
+        s, ((lo, coeffs),) = _dense_in_stride(self)
         hi = lo + s * (len(coeffs) - 1)
         a_s, b_s = a ** s, b ** s
         n, b_pow = 0, 1
@@ -174,6 +154,26 @@ def _addmul(acc, a, b):
         for e2, c2 in b.terms.items():
             e = e1 + e2
             acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _dense_in_stride(*polys):
+    """(s, [(valuation, little-endian coefficient list in w = v^s)] per
+    LaurentPoly in polys), s the stride they share: the gcd of
+    e - valuation over each one's exponents e, 1 when all are monomials or
+    zero, so that each is v^valuation * P(w).  Zero reads as (0, [0])."""
+    los = [min(p.terms, default=0) for p in polys]
+    s = 0
+    for p, lo in zip(polys, los):
+        for e in p.terms:
+            s = math.gcd(s, e - lo)
+    s = s or 1
+    out = []
+    for p, lo in zip(polys, los):
+        coeffs = [0] * ((max(p.terms, default=lo) - lo) // s + 1)
+        for e, c in p.terms.items():
+            coeffs[(e - lo) // s] = c
+        out.append((lo, coeffs))
+    return s, out
 
 
 def _content(coeffs):
@@ -248,25 +248,16 @@ def _poly_divexact(a, b):
     return q
 
 
-def _common_stride(a, b):
-    """The gcd of the strides of two LaurentPoly, 1 when both are
-    monomials: their gcd and quotient are computed in w = v^s."""
-    return math.gcd(a.stride(), b.stride()) or 1
-
-
 def _lp_gcd(a, b):
     """A gcd in Z[v] of two nonzero LaurentPoly, of valuation 0 (a Laurent
     gcd is defined up to a monomial unit)."""
-    s = _common_stride(a, b)
-    return LaurentPoly._from_dense(0, _poly_gcd_dense(a._dense(s)[1],
-                                                      b._dense(s)[1]), s)
+    s, ((_, ac), (_, bc)) = _dense_in_stride(a, b)
+    return LaurentPoly._from_dense(0, _poly_gcd_dense(ac, bc), s)
 
 
 def _lp_divexact(a, b):
     """a / b for LaurentPoly where b divides a exactly; raises if not."""
-    s = _common_stride(a, b)
-    alo, ac = a._dense(s)
-    blo, bc = b._dense(s)
+    s, ((alo, ac), (blo, bc)) = _dense_in_stride(a, b)
     return LaurentPoly._from_dense(alo - blo, _poly_divexact(ac, bc), s)
 
 
@@ -305,9 +296,7 @@ def _cancel(a, b):
     taken when either is a unit."""
     if _is_unit(a) or _is_unit(b):
         return a, b
-    s = _common_stride(a, b)
-    alo, ac = a._dense(s)
-    blo, bc = b._dense(s)
+    s, ((alo, ac), (blo, bc)) = _dense_in_stride(a, b)
     g = _poly_gcd_dense(ac, bc)
     if len(g) == 1 and g[0] == 1:
         return a, b

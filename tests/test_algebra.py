@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,8 +68,13 @@ def _slow_expand(word, rng):
 
 def _nf(word):
     """The rewriter's normal form of one word, from the empty word."""
-    one = LaurentPoly({0: 1})
-    return _times_words({(): one}, [(tuple(word), one)])
+    return _times_words({(): {0: 1}}, [(tuple(word), {0: 1})])
+
+
+def _scalars(terms):
+    """The rewriter's Laurent coefficients (dicts v-exponent -> integer) of
+    a dict of terms, as QRational."""
+    return {w: QRational(LaurentPoly(c)) for w, c in terms.items()}
 
 
 def _slow_terms(terms, rng):
@@ -85,8 +92,7 @@ def test_rewriting_confluence_random():
     gens = list(LETTER_TO_GEN.values())
     for _ in range(60):
         word = tuple(rng.choice(gens) for _ in range(rng.randint(2, 7)))
-        assert {w: QRational(c) for w, c in _nf(word).items()} == \
-            _slow_expand(word, rng)
+        assert _scalars(_nf(word)) == _slow_expand(word, rng)
     # the constructor on multi-term inputs: mixed det powers, non-unit
     # denominators, reorderings of one word whose normal forms merge, and a
     # same-row word beside its sorted form with the coefficient that cancels
@@ -120,8 +126,7 @@ def test_diagonal_word_expansion():
     word = ((3, 3),) * 3 + ((2, 2),) * 3 + ((1, 1),) * 3
     got = _nf(word)
     assert len(got) == 55
-    assert {w: QRational(c) for w, c in got.items()} == \
-        _slow_expand(word, random.Random(3))
+    assert _scalars(got) == _slow_expand(word, random.Random(3))
 
 
 def test_diagonal_word_k6():
@@ -133,9 +138,9 @@ def test_diagonal_word_k6():
     word = ((3, 3),) * 6 + ((2, 2),) * 6 + ((1, 1),) * 6
     got = _nf(word)
     assert len(got) == len(enumerate_Bnm(3, 6)) == 406
-    assert counit(E(3, {(w, 0): QRational(c) for w, c in got.items()},
+    assert counit(E(3, {(w, 0): c for w, c in _scalars(got).items()},
                     canonical=True)) == ONE
-    rows = sorted((w, sorted(c.terms.items())) for w, c in got.items())
+    rows = sorted((w, sorted(c.items())) for w, c in got.items())
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         "4dd12a558fa8ae11b12090bd026b8dd8577e39ab06de9aaa306b6a539ce4f9ba"
 
@@ -179,14 +184,14 @@ def test_times_words_unequal_lengths(words, start):
     # the prefix stack must match one normal form per word
     start = tuple(sorted(start))
     words = sorted(set(words) | {words[0] + ((3, 3),)})
-    pairs = [(w, LaurentPoly({k: k + 1})) for k, w in enumerate(words)]
+    pairs = [(w, {k: k + 1}) for k, w in enumerate(words)]
     want = {}
     for w, c in pairs:
         for t, ct in _slow_expand(start + w, random.Random(len(w))).items():
-            want[t] = want.get(t, ZERO) + QRational(c) * ct
+            want[t] = want.get(t, ZERO) + QRational(LaurentPoly(c)) * ct
     want = {t: c for t, c in want.items() if not c.is_zero()}
-    got = _times_words({start: LaurentPoly({0: 1})}, pairs)
-    assert {t: QRational(c) for t, c in got.items()} == want
+    got = _times_words({start: {0: 1}}, pairs)
+    assert _scalars(got) == want
 
 
 def test_sorted_prefix_is_not_reinserted(monkeypatch):
@@ -197,20 +202,21 @@ def test_sorted_prefix_is_not_reinserted(monkeypatch):
     monkeypatch.setattr(rewriter, "_mul_letter",
                         lambda t, g, B: seen.append(g) or mul_letter(t, g, B))
     w = ((1, 1), (1, 3), (2, 2), (2, 1), (3, 3))
-    c = LaurentPoly({1: 2})
-    got = _times_words({(): c}, [(w, LaurentPoly({0: 1}))])
+    c = {1: 2}
+    got = _times_words({(): c}, [(w, {0: 1})])
     assert seen == [(2, 1), (3, 3)]
-    assert {t: QRational(ct) for t, ct in got.items()} == \
-        {t: QRational(c) * ct
+    assert _scalars(got) == \
+        {t: QRational(LaurentPoly(c)) * ct
          for t, ct in _slow_expand(w, random.Random(0)).items()}
 
 
 def _laurent(max_coeff):
-    """Nonzero Laurent polynomials with exponents in [-3, 3] and integer
-    coefficients up to max_coeff in absolute value."""
+    """Nonzero Laurent coefficients, dicts v-exponent -> nonzero integer,
+    with exponents in [-3, 3] and integer coefficients up to max_coeff in
+    absolute value."""
     return st.dictionaries(st.integers(-3, 3),
                            st.integers(-max_coeff, max_coeff).filter(bool),
-                           min_size=1, max_size=3).map(LaurentPoly)
+                           min_size=1, max_size=3)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -231,10 +237,57 @@ def test_kernel_matches_slow_rewriter(n, data):
     for t, ct in terms.items():
         for w, cw in words:
             for u, cu in _slow_expand(t + w, random.Random(len(w))).items():
-                want[u] = want.get(u, ZERO) + QRational(ct * cw) * cu
+                want[u] = want.get(u, ZERO) + \
+                    QRational(LaurentPoly(ct) * LaurentPoly(cw)) * cu
     want = {u: c for u, c in want.items() if not c.is_zero()}
     got = _times_words(terms, words)
-    assert {u: QRational(c) for u, c in got.items()} == want
+    assert _scalars(got) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_times_words_chains_word_lists(n, data):
+    # terms L1 L2 in one call equals L2 inserted into the result for L1,
+    # and both equal the independent rewriter on every concatenated word,
+    # with coefficients both small and above 2^64
+    gens = st.tuples(st.integers(1, n), st.integers(1, n))
+    coeffs = _laurent(data.draw(st.sampled_from([3, 2 ** 70])))
+    terms = data.draw(st.dictionaries(
+        st.lists(gens, max_size=2).map(lambda w: tuple(sorted(w))), coeffs,
+        min_size=1, max_size=2))
+    lists = [sorted(data.draw(st.dictionaries(
+        st.lists(gens, max_size=3).map(tuple), coeffs, min_size=1,
+        max_size=3)).items(), key=lambda wc: wc[0]) for _ in range(2)]
+    got = _times_words(terms, *lists)
+    assert got == _times_words(_times_words(terms, lists[0]), lists[1])
+    want = {}
+    for t, ct in terms.items():
+        for w1, c1 in lists[0]:
+            for w2, c2 in lists[1]:
+                c = QRational(LaurentPoly(ct) * LaurentPoly(c1)
+                              * LaurentPoly(c2))
+                for u, cu in _slow_expand(t + w1 + w2,
+                                          random.Random(len(w2))).items():
+                    want[u] = want.get(u, ZERO) + c * cu
+    assert _scalars(got) == {u: c for u, c in want.items() if not c.is_zero()}
+
+
+PACKED_NAMES = {"_pack", "_unpack", "_digits", "_certified", "_mass",
+                "_tightened", "_mul_letter", "_times_packed", "_add_packed"}
+
+
+def test_packed_format_stays_in_rewriter():
+    # the packed (a, N) coefficients and their width certificate stay in
+    # the rewriter: other modules trade Laurent coefficients with it
+    src = Path(__file__).resolve().parents[1] / "src" / "qhaar"
+    paths = [p for p in src.glob("*.py") if p.name != "rewriter.py"]
+    assert len(paths) >= 9
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            assert name not in PACKED_NAMES, (path.name, name)
 
 
 def test_widening_rerun_is_exact(monkeypatch):
@@ -255,34 +308,35 @@ def test_widening_rerun_is_exact(monkeypatch):
         return certified(logged)
 
     def mass(terms):
-        return sum(abs(x) for c in terms.values() for x in c.terms.values())
+        return sum(abs(x) for c in terms.values() for x in c.values())
 
     monkeypatch.setattr(rewriter, "_certified", spy)
-    c = LaurentPoly({0: -2 ** 62, 4: 2 ** 62})
+    c = {0: -2 ** 62, 4: 2 ** 62}
     word = ((2, 2), (1, 1))
-    got = _times_words({(): c}, [(word, LaurentPoly({0: 1}))])
-    assert {t: QRational(ct) for t, ct in got.items()} == \
-        {t: QRational(c) * ct
+    got = _times_words({(): c}, [(word, {0: 1})])
+    assert _scalars(got) == \
+        {t: QRational(LaurentPoly(c)) * ct
          for t, ct in _slow_expand(word, random.Random(0)).items()}
-    assert got[((1, 2), (2, 1))].terms[2] == 2 ** 63
+    assert got[((1, 2), (2, 1))][2] == 2 ** 63
     assert [B for B, _ in runs] == [64, 67]
     assert runs[-1][1] == mass(got) == 3 * 2 ** 63
     # 2^64 - 1 reads back at 64 bits as the digits -1 and 1: a bound past
     # 2^63 must not be replaced by the total of such digits
     runs.clear()
-    c = LaurentPoly({0: 2 ** 64 - 1})
-    got = _times_words({(): c}, [(word, LaurentPoly({0: 1}))])
-    assert {t: QRational(ct) for t, ct in got.items()} == \
-        {t: QRational(c) * ct
+    c = {0: 2 ** 64 - 1}
+    got = _times_words({(): c}, [(word, {0: 1})])
+    assert _scalars(got) == \
+        {t: QRational(LaurentPoly(c)) * ct
          for t, ct in _slow_expand(word, random.Random(0)).items()}
     assert runs[0][0] == 64 < runs[-1][0]
     diagonal = ((3, 3),) * 6 + ((2, 2),) * 6 + ((1, 1),) * 6
     want = _nf(diagonal)
     assert runs[-1][0] == 64 and runs[-1][1] < 2 ** 63
     runs.clear()
-    c = LaurentPoly({0: 2 ** 45})
-    got = _times_words({(): c}, [(diagonal, LaurentPoly({0: 1}))])
-    assert got == {t: c * ct for t, ct in want.items()}
+    c = 2 ** 45
+    got = _times_words({(): {0: c}}, [(diagonal, {0: 1})])
+    assert got == {t: {e: c * x for e, x in ct.items()}
+                   for t, ct in want.items()}
     assert runs[0][0] == 64 < runs[-1][0]
     assert runs[-1][1] >= mass(got) >= 2 ** 63
 
@@ -369,14 +423,16 @@ def test_same_row_word_is_a_monomial(row_and_cols):
     # q^-1 = v^-2 and no other word appears (the coproduct's left legs)
     i, cols = row_and_cols
     word = tuple((i, j) for j in cols)
-    assert _nf(word) == \
-        {tuple(sorted(word)): LaurentPoly({-2 * inversions(cols): 1})}
+    assert _nf(word) == {tuple(sorted(word)): {-2 * inversions(cols): 1}}
 
 
 def test_coefficient_types():
-    # the rewriter works on Laurent polynomials; elements keep QRational
+    # the rewriter works on Laurent coefficients, dicts v-exponent ->
+    # nonzero integer; elements keep QRational
     word = ((3, 3), (2, 2), (1, 1), (1, 2))
-    assert all(isinstance(c, LaurentPoly) for c in _nf(word).values())
+    assert all(isinstance(c, dict) and c and
+               all(isinstance(e, int) and isinstance(x, int) and x
+                   for e, x in c.items()) for c in _nf(word).values())
     x = E.word(3, word, 1, ONE / (ONE - qq(2))) + E.word(3, word[::-1])
     for y in (x, star(x) * x):
         assert y.terms

@@ -6,7 +6,7 @@ import pytest
 from qhaar.scalars import QRational, ZERO, ONE, qq
 from qhaar.algebra import (AlgebraElement, pseudo_word, counting_matrix,
                            stochastic_order, quantum_determinant, inversions,
-                           comultiply)
+                           comultiply, quantum_determinant_power)
 from qhaar.haar import haar_ref, haar_order1, haar_pseudo, haar_state
 from qhaar.linsys import (enumerate_Bnm, detq_power_expand, build_system,
                           solve_system, source_matrix_solve, _eliminate,
@@ -189,6 +189,16 @@ def test_feasibility_guard():
     assert len(sol) == 8
     assert source_matrix_solve(2, 7, override_feasibility=True) == \
         sol[((0, 7), (7, 0))]
+
+
+def test_detq_power_expand_beyond_system_bound():
+    # the expansion of D_q^m has no guard of its own: (2, 7) lies past the
+    # system bound, and the coefficients are those of the cached power
+    got = detq_power_expand(2, 7)
+    want = quantum_determinant_power(2, 7)
+    assert len(got) == len(enumerate_Bnm(2, 7)) == 8
+    assert got == {counting_matrix(2, f): c
+                   for (f, _d), c in want.terms.items()}
 
 
 def test_eliminate_rank_deficient():

@@ -117,8 +117,11 @@ def test_evaluate_strided_cases(v0):
     # whose numerator is a monomial (stride 0) over a stride-8 denominator
     odd, neg = {3: 1, 11: 5}, {-8: 1, 4: -1}
     num, den = {12: 2}, {0: 1, 8: -1}
-    assert LaurentPoly(odd).stride() == 8 and LaurentPoly(neg).stride() == 12
-    assert LaurentPoly(num).stride() == 0
+    strides = qscalars._dense_in_stride
+    assert strides(LaurentPoly(odd))[0] == 8
+    assert strides(LaurentPoly(neg))[0] == 12
+    assert strides(LaurentPoly(num)) == (1, [(12, [2])])
+    assert strides(LaurentPoly(num), LaurentPoly(den))[0] == 8
     frac = QRational(LaurentPoly(num), LaurentPoly(den))
     for terms in (odd, neg):
         assert LaurentPoly(terms).evaluate(v0) == _termwise(terms, v0)
@@ -304,15 +307,22 @@ def test_gcd_runs_in_the_stride(monkeypatch):
     assert x == ONE + qq(4)
 
 
+def _dense(p):
+    """(valuation, little-endian coefficient list in v) of a nonzero
+    LaurentPoly."""
+    lo = min(p.terms)
+    return lo, [p.terms.get(e, 0) for e in range(lo, max(p.terms) + 1)]
+
+
 def _ref_gcd(a, b):
     """The stride-1 route: the dense kernels on every power of v."""
     return LaurentPoly._from_dense(0, qscalars._poly_gcd_dense(
-        a._dense()[1], b._dense()[1]))
+        _dense(a)[1], _dense(b)[1]))
 
 
 def _ref_divexact(a, b):
-    alo, ac = a._dense()
-    blo, bc = b._dense()
+    alo, ac = _dense(a)
+    blo, bc = _dense(b)
     return LaurentPoly._from_dense(alo - blo,
                                    qscalars._poly_divexact(ac, bc))
 
