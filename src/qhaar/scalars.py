@@ -161,16 +161,20 @@ def _dense_in_stride(*polys):
     LaurentPoly in polys), s the stride they share: the gcd of
     e - valuation over each one's exponents e, 1 when all are monomials or
     zero, so that each is v^valuation * P(w).  Zero reads as (0, [0])."""
-    los = [min(p.terms, default=0) for p in polys]
+    los = []
     s = 0
-    for p, lo in zip(polys, los):
-        for e in p.terms:
+    for p in polys:
+        t = p.terms
+        lo = min(t) if t else 0
+        los.append(lo)
+        for e in t:
             s = math.gcd(s, e - lo)
     s = s or 1
     out = []
     for p, lo in zip(polys, los):
-        coeffs = [0] * ((max(p.terms, default=lo) - lo) // s + 1)
-        for e, c in p.terms.items():
+        t = p.terms
+        coeffs = [0] * ((max(t) - lo) // s + 1 if t else 1)
+        for e, c in t.items():
             coeffs[(e - lo) // s] = c
         out.append((lo, coeffs))
     return s, out
