@@ -122,11 +122,10 @@ def haar_ratio_general_n(i, idx, n):
     starting at row i, taken to equal the rank-3 ratio.
 
     Verified against the rank-n values at order 1 for n = 4, 5
-    (test_ratio_general_n_embedded_order1) and at order 2 for n = 4
-    (test_ratio_general_n_embedded_order2); order 3 at n = 4 and order 2
-    at n = 5 were checked once against the invariance system (CHANGES.md,
-    the entry that rebuilt it from the U_q(gl_n) action).  Other orders
-    and ranks are unverified."""
+    (test_ratio_general_n_embedded_order1), at orders 2 and 3 for n = 4
+    (test_ratio_general_n_embedded_order2, _order3) and at order 2 for
+    n = 5 (test_ratio_general_n_embedded_rank5_order2).  Other orders and
+    ranks are unverified."""
     m, s, r, l, t = idx
     if not 1 <= i <= n - 2:
         raise ValueError("block position out of range")

@@ -12,16 +12,18 @@ comes from the one insertion routine `rewriter._times_words`.
 from itertools import combinations, permutations, product
 
 from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
-    over_common_denominator, qdot
+    over_common_denominator, qdot, fraction_sum
 from .algebra import (AlgebraElement, counting_matrix, stochastic_order,
                       pseudo_word, quantum_determinant_power, inversions,
                       _neg_q_power, _rho_exponent)
 from .rewriter import _times_words
 from .actions import act
 
-# conservative solvability bounds for the full system and the Source matrix
-_SYSTEM_BOUNDS = {2: 6, 3: 3, 4: 2}
-_SOURCE_BOUNDS = {2: 6, 3: 4, 4: 3}
+# solvability bounds for the invariance system and the Source matrix: the
+# largest orders, (4, 3) and (5, 2) for the system, build and solve in a
+# few seconds and under 100 MB on a 2-core VM
+_SYSTEM_BOUNDS = {2: 6, 3: 3, 4: 3, 5: 2}
+_SOURCE_BOUNDS = {2: 6, 3: 4, 4: 3, 5: 2}
 
 
 class FeasibilityError(ValueError):
@@ -82,7 +84,9 @@ def detq_power_expand(n, m):
 
 
 class HaarLinearSystem:
-    """rows: list of (coefficient dict theta -> QRational, rhs, tag)."""
+    """rows: list of (coefficient dict orbit representative -> QRational,
+    rhs, tag) over unknowns, the representatives of the symmetry orbits of
+    the counting matrices of order m (`_orbit_min`)."""
 
     def __init__(self, n, m, unknowns, rows):
         self.n = n
@@ -91,37 +95,66 @@ class HaarLinearSystem:
         self.rows = rows
 
 
-def build_system(n, m, override_feasibility=False):
-    """The invariance relations of order m plus normalization.
+def _orbit_min(theta):
+    """The least of theta, its transpose, its 180-degree rotation and its
+    anti-transpose."""
+    t = tuple(zip(*theta))
+    return min(theta, t, tuple(r[::-1] for r in theta[::-1]),
+               tuple(r[::-1] for r in t[::-1]))
 
-    For g = e_k or f_k, h(g . x_theta det^-m) = 0 for every theta with row
-    sums m and column sums m except at the columns k, k + 1 that g moves:
-    (m - 1, m + 1) for e_k, which turns a column k + 1 into a column k, and
-    (m + 1, m - 1) for f_k.  Every word of the image is then of order m,
-    and the row reads sum_K c_K h(x_K det^-m) = 0.  With the rows of all
-    k = 1..n-1 the system has full rank: at fixed row content the words
-    form the tensor product of the q-symmetric powers S^m_q(V) of the rows
-    under the column action, whose invariants are spanned by D_q^m, and the
-    normalization row fixes the scale."""
+
+def _orbit_row(m, coeffs):
+    """(theta, coefficient) pairs over counting matrices of order m, summed
+    onto the orbit representatives, without the sums that cancel."""
+    parts = {}
+    for theta, c in coeffs:
+        assert stochastic_order(theta) == m
+        parts.setdefault(_orbit_min(theta), []).append(c)
+    row = {u: fraction_sum(cs) for u, cs in parts.items()}
+    return {u: c for u, c in row.items() if not c.is_zero()}
+
+
+def build_system(n, m, override_feasibility=False):
+    """The invariance relations of order m plus normalization, over the
+    symmetry orbits of the counting matrices.
+
+    For e_k, h(e_k . x_theta det^-m) = 0 for every theta with row sums m
+    and column sums m except (m - 1, m + 1) at the columns k, k + 1: e_k
+    turns a column k + 1 into a column k, so every word of the image is of
+    order m, and the row reads sum_K c_K h(x_K det^-m) = 0.  With the rows
+    of all k = 1..n-1 the system has full rank: at fixed row content the
+    words form the tensor product of the q-symmetric powers S^m_q(V) of the
+    rows under the column action, a functional that kills every e_k image
+    is fixed by its values on the lowest-weight vectors, those of weight
+    zero span the invariants, which D_q^m spans, and the normalization row
+    fixes the scale.
+
+    h(x_theta det^-m) is constant on the orbit of theta under transpose
+    and 180-degree rotation (`_orbit_min`).  gamma (x_ij -> x_ji) is a
+    homomorphism that fixes D_q and maps the row-major word of theta to
+    that of theta^T, reordering only anti-diagonal pairs, which commute.
+    omega (x_ij -> x_{n+1-i,n+1-j}, reversing products) fixes D_q and maps
+    the word exactly to the row-major word of the rotation.  And
+    h o gamma = h o omega = h.  So each row is summed onto the orbit
+    representatives, which are the unknowns, and the f_k rows, which under
+    the symmetry repeat the e_k rows, are not built."""
     _check_feasible(n, m, _SYSTEM_BOUNDS, override_feasibility)
     rows = []
     for k in range(1, n):
-        for kind, moved in (("e", (m - 1, m + 1)), ("f", (m + 1, m - 1))):
-            col_sums = (m,) * (k - 1) + moved + (m,) * (n - k - 1)
-            for theta in _counting_matrices((m,) * n, col_sums):
-                x = AlgebraElement(n, {(pseudo_word(theta), m): ONE},
-                                   canonical=True)
-                coeffs = {}
-                for (factors, det), c in act((kind, k), x).terms.items():
-                    K = counting_matrix(n, factors)
-                    assert det == m and stochastic_order(K) == m
-                    coeffs[K] = c
-                if coeffs:
-                    rows.append((coeffs, ZERO,
-                                 ("invariance", (kind, k), theta)))
-    rows.append((detq_power_expand(n, m), ONE,
+        col_sums = (m,) * (k - 1) + (m - 1, m + 1) + (m,) * (n - k - 1)
+        for theta in _counting_matrices((m,) * n, col_sums):
+            x = AlgebraElement(n, {(pseudo_word(theta), m): ONE},
+                               canonical=True)
+            image = act(("e", k), x).terms.items()
+            assert all(det == m for (_f, det), _c in image)
+            row = _orbit_row(m, ((counting_matrix(n, f), c)
+                                 for (f, _det), c in image))
+            if row:
+                rows.append((row, ZERO, ("invariance", ("e", k), theta)))
+    rows.append((_orbit_row(m, detq_power_expand(n, m).items()), ONE,
                  ("normalization",)))
-    return HaarLinearSystem(n, m, enumerate_Bnm(n, m), rows)
+    unknowns = sorted({_orbit_min(t) for t in enumerate_Bnm(n, m)})
+    return HaarLinearSystem(n, m, unknowns, rows)
 
 
 def _add_scaled(row, f, other):
@@ -204,8 +237,11 @@ def _residual_gate(rows, solution, used):
 
 
 def solve_system(system):
-    """Solves the invariance system exactly: dict unknown -> value."""
-    return _eliminate(system.rows, system.unknowns)
+    """Solves the invariance system exactly: dict theta -> value for every
+    theta in enumerate_Bnm, each read off its orbit representative."""
+    values = _eliminate(system.rows, system.unknowns)
+    return {theta: values[_orbit_min(theta)]
+            for theta in enumerate_Bnm(system.n, system.m)}
 
 
 # ---------------------------------------------------------------------

@@ -242,6 +242,14 @@ def test_eval_rank4_order2():
     assert out.strip() not in ("", "0")
 
 
+def test_eval_rank4_order3():
+    # order 3 at rank 4 lies inside the system's feasibility guard
+    text = "x[1,1]^3 x[2,2]^3 x[3,3]^3 x[4,4]^3 det^-3"
+    code, out = run(["eval", text, "--n", "4"])
+    assert code == 0
+    assert out.strip() == str(haar_state(parse(text, 4)))
+
+
 def test_ortho_at_q():
     code, out = run(["ortho", "--lambda", "1,0,0", "--mu", "1,0,0",
                      "--at-q", "1/2"])
@@ -293,7 +301,7 @@ def test_exit_codes():
     assert run(["eval", "1" * 5000])[0] == 2
     assert run(["eval", "a", "--at-q", "q"])[0] == 2
     assert run(["solve", "--n", "3", "--m", "9"])[0] == 3
-    assert run(["eval", "x[1,1]^2 x[2,2]^2 x[3,3]^2 x[4,4]^2 x[5,5]^2 det^-2",
+    assert run(["eval", "x[1,1]^3 x[2,2]^3 x[3,3]^3 x[4,4]^3 x[5,5]^3 det^-3",
                 "--n", "5"])[0] == 3
     assert run(["gram", "--lambda", "2,1,0", "--mu", "3,0,0"])[0] == 4
     assert run(["gram", "--lambda", "2,1,0", "--mu", "3,-1,1"])[0] == 4

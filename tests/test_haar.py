@@ -18,7 +18,9 @@ from qhaar.corep import (gram_entry_closed, gram_entry_direct, weight_space,
 from qhaar.haar import (haar_ref, haar_ref_recursive, haar_pseudo,
                         haar_order1, haar_state, haar_ratio_general_n,
                         check_pseudo_index)
-from qhaar.linsys import enumerate_Bnm, FeasibilityError, _counting_matrices
+from qhaar.linsys import (enumerate_Bnm, FeasibilityError, _counting_matrices,
+                          source_matrix_solve)
+from qhaar import haar
 
 E = AlgebraElement
 NEG_ONE = QRational.from_int(-1)
@@ -149,8 +151,8 @@ def test_haar_state_rank1():
 
 
 def test_haar_state_unavailable_rank():
-    # rank 5, order 2 lies beyond both oracles' feasibility guards
-    w = E.word(5, [(i, i) for i in (1, 2, 3, 4, 5)] * 2, det=2)
+    # rank 5, order 3 lies beyond both oracles' feasibility guards
+    w = E.word(5, [(i, i) for i in (1, 2, 3, 4, 5)] * 3, det=3)
     with pytest.raises(FeasibilityError):
         haar_state(w)
 
@@ -400,7 +402,7 @@ def test_ratio_general_n_embedded_order1(n, i):
     """The ratio for each order-1 3x3 pattern embedded at rows and columns
     i..i+2 of a rank-n word, with x_jj on the other diagonal entries, against
     haar_state, which takes order-1 values at rank n from haar_order1.
-    test_ratio_general_n_embedded_order2 checks order 2 at n = 4."""
+    check_embedded_ratios checks higher orders."""
     def embedded(theta):
         sigma = list(range(1, n + 1))
         for a in range(3):
@@ -414,14 +416,11 @@ def test_ratio_general_n_embedded_order1(n, i):
         assert embedded(theta) / anti == haar_ratio_general_n(i, idx, n)
 
 
-@pytest.mark.parametrize("i", [1, 2])
-def test_ratio_general_n_embedded_order2(i):
-    """The ratio for each order-2 3x3 pattern embedded at rows and columns
-    i..i+2 of a rank-4 word, with x_jj^2 on the other diagonal entry,
-    divided by the embedded 2 x antidiagonal, against haar_state, which
-    takes these rank-4 values from the invariance system."""
-    n, m = 4, 2
-
+def check_embedded_ratios(n, m, i):
+    """The ratio for each order-m 3x3 pattern embedded at rows and columns
+    i..i+2 of a rank-n word, with x_jj^m on the other diagonal entries,
+    divided by the embedded m x antidiagonal, against haar_state, which
+    takes these values from the invariance system."""
     def embedded(theta):
         big = [[m * (r == c) for c in range(n)] for r in range(n)]
         for a in range(3):
@@ -432,6 +431,33 @@ def test_ratio_general_n_embedded_order2(i):
     for theta in enumerate_Bnm(3, m):
         idx = (m, theta[0][0], theta[0][2], theta[2][0], theta[2][2])
         assert embedded(theta) / anti == haar_ratio_general_n(i, idx, n)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_ratio_general_n_embedded_order2(i):
+    check_embedded_ratios(4, 2, i)
+
+
+def test_ratio_general_n_embedded_order3():
+    # 55 patterns at each of the two block positions
+    for i in (1, 2):
+        check_embedded_ratios(4, 3, i)
+
+
+def test_ratio_general_n_embedded_rank5_order2():
+    for i in (1, 2, 3):
+        check_embedded_ratios(5, 2, i)
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (5, 2)])
+def test_system_antidiagonal_matches_source(n, m):
+    # haar_state takes m x the antidiagonal from the Source scheme and every
+    # other word of the order from the invariance system; both routes agree
+    anti = tuple(tuple(m * (i + j == n - 1) for j in range(n))
+                 for i in range(n))
+    value = source_matrix_solve(n, m)
+    assert haar._system_values(n, m)[anti] == value
+    assert haar_state(E.word(n, pseudo_word(anti), m)) == value
 
 
 def test_ratio_general_n():

@@ -10,11 +10,34 @@ from qhaar.algebra import (AlgebraElement, pseudo_word, counting_matrix,
 from qhaar.haar import haar_ref, haar_order1, haar_pseudo, haar_state
 from qhaar.linsys import (enumerate_Bnm, detq_power_expand, build_system,
                           solve_system, source_matrix_solve, _eliminate,
-                          VerificationError)
+                          _counting_matrices, VerificationError)
+from qhaar.actions import act
 from qhaar import haar, linsys
 
 E = AlgebraElement
 NEG_ONE = QRational.from_int(-1)
+
+
+def full_action_rows(n, m):
+    """The invariance rows of every e_k and f_k over every counting matrix,
+    without the orbit reduction, plus the normalization row: an independent
+    route to the values, solved by _eliminate over all of enumerate_Bnm."""
+    rows = []
+    for k in range(1, n):
+        for kind, moved in (("e", (m - 1, m + 1)), ("f", (m + 1, m - 1))):
+            col_sums = (m,) * (k - 1) + moved + (m,) * (n - k - 1)
+            for theta in _counting_matrices((m,) * n, col_sums):
+                x = E(n, {(pseudo_word(theta), m): ONE}, canonical=True)
+                coeffs = {}
+                for (factors, det), c in act((kind, k), x).terms.items():
+                    K = counting_matrix(n, factors)
+                    assert det == m and stochastic_order(K) == m
+                    coeffs[K] = c
+                if coeffs:
+                    rows.append((coeffs, ZERO,
+                                 ("invariance", (kind, k), theta)))
+    rows.append((detq_power_expand(n, m), ONE, ("normalization",)))
+    return rows
 
 
 def perm_matrix(sigma):
@@ -166,24 +189,43 @@ def test_values_satisfy_translation_invariance(n, m):
             assert lhs.get(L, ZERO) == b.get(L, ZERO) * v[M]
 
 
+@pytest.mark.parametrize("n, m", [(2, m) for m in range(1, 7)]
+                         + [(3, m) for m in (1, 2, 3)] + [(4, 1), (4, 2)])
+def test_reduced_system_matches_full_system(n, m):
+    # the e_k rows over orbit representatives against every e_k and f_k row
+    # over every counting matrix: equal values, so every orbit is constant
+    system = build_system(n, m)
+    assert len(system.unknowns) <= len(enumerate_Bnm(n, m))
+    want = _eliminate(full_action_rows(n, m), enumerate_Bnm(n, m))
+    got = solve_system(system)
+    assert got == want and list(got) == list(want)
+
+
 def test_action_rows_of_one_column_pair_are_rank_deficient():
     # the rows of e_1, f_1 alone only ask for invariance under the columns
     # 1, 2, which many functionals meet: elimination reports the shortfall
-    system = build_system(3, 2)
-    rows = [r for r in system.rows
-            if r[2][0] != "invariance" or r[2][1][1] == 1]
-    assert len(rows) < len(system.rows)
+    rows = full_action_rows(3, 2)
+    pair = [r for r in rows if r[2][0] != "invariance" or r[2][1][1] == 1]
+    assert len(pair) < len(rows)
     with pytest.raises(VerificationError, match="^rank deficient"):
-        _eliminate(rows, system.unknowns)
+        _eliminate(pair, enumerate_Bnm(3, 2))
+    # over the orbits, the rotation takes the columns 2, 3 at rank 4 to
+    # themselves, so the reduced rows of e_2 alone fall short as well
+    system = build_system(4, 2)
+    pair = [r for r in system.rows
+            if r[2][0] != "invariance" or r[2][1][1] == 2]
+    assert len(pair) < len(system.rows)
+    with pytest.raises(VerificationError, match="^rank deficient"):
+        _eliminate(pair, system.unknowns)
 
 
 def test_feasibility_guard():
     with pytest.raises(ValueError):
         build_system(3, 4)
     with pytest.raises(ValueError):
-        build_system(5, 1)
+        build_system(6, 1)
     with pytest.raises(ValueError):
-        source_matrix_solve(5, 1)
+        source_matrix_solve(6, 1)
     # override runs the computation anyway
     sol = solve_system(build_system(2, 7, override_feasibility=True))
     assert len(sol) == 8
@@ -301,7 +343,8 @@ def test_eliminate_non_unit_denominators():
 
 def test_eliminate_row_order_independent():
     system = build_system(3, 2)
-    want = solve_system(system)
+    values = solve_system(system)
+    want = {u: values[u] for u in system.unknowns}
     for seed in (0, 1):
         rows = list(system.rows)
         random.Random(seed).shuffle(rows)
