@@ -371,14 +371,17 @@ def apply_morphism(x, which):
     """gamma: diagonal flip homomorphism; omega: double flip anti-homomorphism;
     rho: the modular automorphism (diagonal rescaling)."""
     n = x.n
-    # both flips map distinct words to distinct words: no terms to add
+    # both flips map each canonical word to one canonical word, with no
+    # rewriting: gamma's transposed word, sorted, moves only anti-diagonal
+    # pairs, which commute, and omega's reversed rotation is already sorted
     if which == "gamma":
-        return AlgebraElement(n, {(tuple((j, i) for (i, j) in factors), det): c
-                                  for (factors, det), c in x.terms.items()})
+        return AlgebraElement(n, {(tuple(sorted((j, i) for (i, j) in f)), d): c
+                                  for (f, d), c in x.terms.items()},
+                              canonical=True)
     if which == "omega":
         return AlgebraElement(n, {
-            (tuple((n + 1 - i, n + 1 - j) for (i, j) in reversed(factors)),
-             det): c for (factors, det), c in x.terms.items()})
+            (tuple((n + 1 - i, n + 1 - j) for (i, j) in reversed(f)), d): c
+            for (f, d), c in x.terms.items()}, canonical=True)
     if which == "rho":
         return AlgebraElement(n, {(factors, det): c * qq(_rho_exponent(
             n, factors)) for (factors, det), c in x.terms.items()},

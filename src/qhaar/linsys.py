@@ -5,25 +5,23 @@ powers of the quantum determinant over the pseudo-basis, builds the
 invariance system of a given order from the left action of U_q(gl_n),
 solves it exactly, and runs the recursive Source-matrix scheme that
 yields h(x_{sigma_0}^m) on O(U_q(n)) without touching the full system.
-Every normal form here, of an action image or of a Source-matrix word,
-comes from the one insertion routine `rewriter._times_words`.
+The e_k images and the Source matrix's zeta words are single monomials,
+written down in closed form; `rewriter._times_words` runs only on the
+words that can split, the eta prefixes here and D_q^m in `algebra`.
 """
 
 from itertools import combinations, permutations, product
 
-from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, _LP_ZERO, \
+from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, \
     over_common_denominator, qdot, fraction_sum
-from .algebra import (AlgebraElement, counting_matrix, stochastic_order,
-                      pseudo_word, quantum_determinant_power, inversions,
-                      _neg_q_power, _rho_exponent)
+from .algebra import (counting_matrix, stochastic_order, pseudo_word,
+                      quantum_determinant_power, inversions, _neg_q_power,
+                      _rho_exponent)
 from .rewriter import _times_words
-from .actions import act
 
-# solvability bounds for the invariance system and the Source matrix: the
-# largest orders, (4, 3) and (5, 2) for the system, build and solve in a
-# few seconds and under 100 MB on a 2-core VM
-_SYSTEM_BOUNDS = {2: 6, 3: 3, 4: 3, 5: 2}
-_SOURCE_BOUNDS = {2: 6, 3: 4, 4: 3, 5: 2}
+# the largest orders of the invariance system and the Source matrix: each
+# builds and solves in a few seconds and under 100 MB on a 2-core VM
+_BOUNDS = {2: 6, 3: 4, 4: 3, 5: 2}
 
 
 class FeasibilityError(ValueError):
@@ -35,10 +33,8 @@ class VerificationError(ValueError):
     an inconsistent system, or one whose rank is deficient."""
 
 
-def _check_feasible(n, m, bounds, override=False):
-    if override:
-        return
-    if n not in bounds or m > bounds[n]:
+def _check_feasible(n, m, override):
+    if not override and (n not in _BOUNDS or m > _BOUNDS[n]):
         raise FeasibilityError(
             "rank %d order %d exceeds the feasibility guard; pass "
             "override_feasibility to force" % (n, m))
@@ -137,18 +133,29 @@ def build_system(n, m, override_feasibility=False):
     the word exactly to the row-major word of the rotation.  And
     h o gamma = h o omega = h.  So each row is summed onto the orbit
     representatives, which are the unknowns, and the f_k rows, which under
-    the symmetry repeat the e_k rows, are not built."""
-    _check_feasible(n, m, _SYSTEM_BOUNDS, override_feasibility)
+    the symmetry repeat the e_k rows, are not built.
+
+    The image is one monomial per row i of theta with b = theta_{i,k+1} > 0:
+    with a = theta_{i,k} and P_i = sum_{r<i} (theta_{r,k} - theta_{r,k+1}),
+    e_k . x_theta det^-m = sum_i (sum_{t<b} v^(2(P_i + a) + 1 - 4t))
+    x_{theta + E_{i,k} - E_{i,k+1}} det^-m.  The twist on the t-th letter
+    (i, k+1) of the row-major word is q^(P_i + a - t + 1/2), and the new
+    letter (i, k) moves left past t letters of its own row, for q^-t."""
+    _check_feasible(n, m, override_feasibility)
     rows = []
     for k in range(1, n):
         col_sums = (m,) * (k - 1) + (m - 1, m + 1) + (m,) * (n - k - 1)
         for theta in _counting_matrices((m,) * n, col_sums):
-            x = AlgebraElement(n, {(pseudo_word(theta), m): ONE},
-                               canonical=True)
-            image = act(("e", k), x).terms.items()
-            assert all(det == m for (_f, det), _c in image)
-            row = _orbit_row(m, ((counting_matrix(n, f), c)
-                                 for (f, _det), c in image))
+            image, p = [], 0    # p: P_i, summed over the rows above
+            for i, r in enumerate(theta):
+                a, b = r[k - 1], r[k]
+                if b:
+                    c = {2 * (p + a) + 1 - 4 * t: 1 for t in range(b)}
+                    r = r[:k - 1] + (a + 1, b - 1) + r[k + 1:]
+                    image.append((theta[:i] + (r,) + theta[i + 1:],
+                                  QRational(LaurentPoly(c), _reduced=True)))
+                p += a - b
+            row = _orbit_row(m, image)
             if row:
                 rows.append((row, ZERO, ("invariance", ("e", k), theta)))
     rows.append((_orbit_row(m, detq_power_expand(n, m).items()), ONE,
@@ -274,30 +281,49 @@ def _class_sort_exponent(n, word):
     return e
 
 
-def _eta_reduction(n, m, sigma, f):
-    """h(eta_f det^-m) as a dict tau -> LaurentPoly coefficient over the
-    Source unknowns h(x_m^tau).  Row r of eta_f is core^f_r special
-    core^(m-1-f_r), core = (r, n+1-r) and special = (sigma(r), n+1-r);
-    a fixed row's special is its core."""
-    specials = [(s, n + 1 - r) for r, s in enumerate(sigma, 1)]
-    word = [g for r, s in enumerate(specials, 1)
-            for g in [(r, n + 1 - r)] * f[r - 1] + [s]
-            + [(r, n + 1 - r)] * (m - 1 - f[r - 1])]
-    e = _class_sort_exponent(n, word)
-    # The class sort leaves the moving rows' specials at the two ends, in
-    # row order, and between them the neutral block: the cores and the
-    # fixed rows' specials, anti-diagonal letters that commute.  So the
-    # fixed rows' specials can trail the m - 1 cores per row, and modular
-    # transfer brings them and the positives to the front.
-    pol = {g: _polarity(n, g) for g in specials}
-    e += 2 * _rho_exponent(n, [g for g in specials if pol[g] >= 0])
-    prefix = tuple(sorted(specials, key=lambda g: (pol[g] < 0, pol[g])))
-    out = {}
-    for cw, cc in _times_words({(): {0: 1}}, [(prefix, {0: 1})]).items():
-        tau = tuple(j for (_i, j) in cw)
-        assert sorted(tau) == list(range(1, n + 1))
-        out[tau] = out.get(tau, _LP_ZERO) + LaurentPoly(cc).shift(e)
-    return out
+def _source_rows(n, mu):
+    """The Source-matrix rows of order mu, one per sigma but the identity,
+    over the unknowns h(x_mu^tau), keyed by tau.  Row r of zeta_f is
+    (r, r)^f_r (r, sigma(r)) (r, r)^(mu-1-f_r), of eta_f core^f_r special
+    core^(mu-1-f_r), core = (r, n+1-r), special = (sigma(r), n+1-r), and
+    f_r = 0 in a fixed row.  zeta_f = v^z x_theta, z = -2 sum_r
+    (mu-1-f_r if sigma(r) > r else f_r): sorting row r moves (r, sigma(r))
+    past that many letters of its row.  The class sort of eta_f, for v^s,
+    leaves the moving rows' specials at the two ends, in row order, and
+    commuting anti-diagonal letters between, so the fixed rows' specials
+    can trail the cores, and modular transfer, for v^2rho, brings them and
+    the positives to the front, onto a prefix that depends on sigma only.
+    The row is sum_f v^(z+s+2rho) nf(prefix), less b_theta at sigma_0."""
+    b = detq_power_expand(n, mu)
+    sigma0 = tuple(range(n, 0, -1))
+    rows = []
+    for sigma in list(permutations(range(1, n + 1)))[1:]:
+        specials = [(s, n + 1 - r) for r, s in enumerate(sigma, 1)]
+        scalar = {}
+        for f in product(*(range(mu) if s != r else (0,)
+                           for r, s in enumerate(sigma, 1))):
+            eta = [g for r, s in enumerate(specials, 1)
+                   for g in [(r, n + 1 - r)] * f[r - 1] + [s]
+                   + [(r, n + 1 - r)] * (mu - 1 - f[r - 1])]
+            e = _class_sort_exponent(n, eta) - 2 * sum(
+                mu - 1 - fr if s > r else fr
+                for r, (s, fr) in enumerate(zip(sigma, f), 1))
+            scalar[e] = scalar.get(e, 0) + 1
+        pol = {g: _polarity(n, g) for g in specials}
+        lam = LaurentPoly(scalar).shift(
+            2 * _rho_exponent(n, [g for g in specials if pol[g] >= 0]))
+        prefix = tuple(sorted(specials, key=lambda g: (pol[g] < 0, pol[g])))
+        coeffs = {}
+        for w, c in _times_words({(): {0: 1}}, [(prefix, {0: 1})]).items():
+            tau = tuple(j for (_i, j) in w)
+            assert sorted(tau) == list(range(1, n + 1))
+            coeffs[tau] = QRational(lam * LaurentPoly(c), _reduced=True)
+        theta = tuple(tuple((mu - 1) * (i == j) + (j == s) for j in
+                            range(1, n + 1)) for i, s in enumerate(sigma, 1))
+        coeffs[sigma0] = coeffs.get(sigma0, ZERO) - b.get(theta, ZERO)
+        rows.append(({k: v for k, v in coeffs.items() if not v.is_zero()},
+                     ZERO, ("source", mu, sigma)))
+    return rows
 
 
 def source_matrix_solve(n, m, override_feasibility=False):
@@ -305,41 +331,12 @@ def source_matrix_solve(n, m, override_feasibility=False):
     scheme: n! unknowns h(x_mu^sigma) per order mu, solved for mu = 1..m."""
     if n < 2 or m < 1:
         raise ValueError("need rank >= 2 and order >= 1")
-    _check_feasible(n, m, _SOURCE_BOUNDS, override_feasibility)
-    sigma0 = tuple(range(n, 0, -1))
+    _check_feasible(n, m, override_feasibility)
     perms = list(permutations(range(1, n + 1)))
     value = ONE
     for mu in range(1, m + 1):
-        b = detq_power_expand(n, mu)
-        rows = []
-        for sigma in perms:
-            if sigma == tuple(range(1, n + 1)):
-                continue
-            theta = tuple(tuple((mu - 1) * (i == j) + (j == sigma[i - 1])
-                                for j in range(1, n + 1))
-                          for i in range(1, n + 1))
-            coeffs = {}
-            # row r of zeta_f is (r, r)^f_r (r, sigma(r)) (r, r)^(mu-1-f_r);
-            # a fixed row is (r, r)^mu whatever f_r, so it takes f_r = 0
-            for f in product(*(range(mu) if sigma[r] != r + 1 else (0,)
-                               for r in range(n))):
-                zw = tuple(g for r in range(1, n + 1)
-                           for g in [(r, r)] * f[r - 1] + [(r, sigma[r - 1])]
-                           + [(r, r)] * (mu - 1 - f[r - 1]))
-                # the zeta leg row-reorders onto the comparing basis without
-                # extra terms, contributing a single power of q
-                exp = _times_words({(): {0: 1}}, [(zw, {0: 1})])
-                assert len(exp) == 1 and pseudo_word(theta) in exp
-                lam = LaurentPoly(exp[pseudo_word(theta)])
-                for tau, c in _eta_reduction(n, mu, sigma, f).items():
-                    coeffs[tau] = coeffs.get(tau, _LP_ZERO) + lam * c
-            coeffs = {k: QRational(v, _LP_ONE, _reduced=True)
-                      for k, v in coeffs.items()}
-            bL = b.get(theta, ZERO)
-            coeffs[sigma0] = coeffs.get(sigma0, ZERO) - bL
-            rows.append(({k: v for k, v in coeffs.items() if not v.is_zero()},
-                         ZERO, ("source", mu, sigma)))
+        rows = _source_rows(n, mu)
         rows.append(({u: _neg_q_power(inversions(u)) for u in perms}, value,
                      ("normalization", mu)))
-        value = _eliminate(rows, perms)[sigma0]
+        value = _eliminate(rows, perms)[perms[-1]]
     return value

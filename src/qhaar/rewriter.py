@@ -7,7 +7,7 @@ produces a letter outside the range of the pair it rewrites, so every word
 of nf(high g) has letters >= g and low stays in front.  _insert memoizes
 nf(high g).  The engine has two entries: _times_words, the one routine that
 inserts whole words, through which every normal form goes (constructor,
-products, star and antipode, action images, linear-system rows), and
+products, star and antipode, the Source matrix's eta prefixes), and
 _coproduct_legs, which grows both legs of a coproduct one letter at a time.
 Both take and return Laurent coefficients with integer coefficients, as
 dicts v-exponent -> integer.

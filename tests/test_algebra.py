@@ -733,6 +733,22 @@ def test_morphisms(n):
         assert apply_morphism(apply_morphism(x, "omega"), "omega") == x
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flips_match_normalizing_constructor(n):
+    # gamma and omega write canonical words directly; the constructor route
+    # normal-orders the flipped words through the rewriter
+    rng = random.Random(11 * n)
+    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for _ in range(100):
+        x = E.word(n, [rng.choice(gens) for _ in range(rng.randrange(7))],
+                   det=rng.randrange(3))
+        assert apply_morphism(x, "gamma") == E(n, {
+            (tuple((j, i) for (i, j) in f), d): c for (f, d), c in x})
+        assert apply_morphism(x, "omega") == E(n, {
+            (tuple((n + 1 - i, n + 1 - j) for (i, j) in reversed(f)), d): c
+            for (f, d), c in x})
+
+
 def test_rho_eigenvalues():
     n = 3
     for i in range(1, n + 1):

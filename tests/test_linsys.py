@@ -1,18 +1,23 @@
 import random
 import sys
+from itertools import permutations, product
 
 import pytest
 
-from qhaar.scalars import QRational, ZERO, ONE, qq
+from qhaar.scalars import LaurentPoly, QRational, ZERO, ONE, qq, \
+    _LP_ONE, _LP_ZERO
 from qhaar.algebra import (AlgebraElement, pseudo_word, counting_matrix,
                            stochastic_order, quantum_determinant, inversions,
-                           comultiply, quantum_determinant_power)
+                           comultiply, quantum_determinant_power,
+                           _rho_exponent)
 from qhaar.haar import haar_ref, haar_order1, haar_pseudo, haar_state
 from qhaar.linsys import (enumerate_Bnm, detq_power_expand, build_system,
                           solve_system, source_matrix_solve, _eliminate,
-                          _counting_matrices, VerificationError)
+                          _counting_matrices, _orbit_row, _source_rows,
+                          _class_sort_exponent, _polarity, VerificationError)
+from qhaar.rewriter import _times_words
 from qhaar.actions import act
-from qhaar import haar, linsys
+from qhaar import algebra, haar, linsys
 
 E = AlgebraElement
 NEG_ONE = QRational.from_int(-1)
@@ -37,6 +42,51 @@ def full_action_rows(n, m):
                     rows.append((coeffs, ZERO,
                                  ("invariance", (kind, k), theta)))
     rows.append((detq_power_expand(n, m), ONE, ("normalization",)))
+    return rows
+
+
+def per_f_source_rows(n, mu):
+    """The Source rows of order mu by one pass per sigma and f: the
+    rewriter normal-orders every zeta word, which must be the single
+    monomial lambda_f x_theta, and the eta prefix of every f, and the row
+    sums lambda_f times the reduction of eta_f over f."""
+    b = detq_power_expand(n, mu)
+    sigma0 = tuple(range(n, 0, -1))
+    rows = []
+    for sigma in permutations(range(1, n + 1)):
+        if sigma == tuple(range(1, n + 1)):
+            continue
+        theta = tuple(tuple((mu - 1) * (i == j) + (j == sigma[i - 1])
+                            for j in range(1, n + 1))
+                      for i in range(1, n + 1))
+        specials = [(s, n + 1 - r) for r, s in enumerate(sigma, 1)]
+        pol = {g: _polarity(n, g) for g in specials}
+        coeffs = {}
+        for f in product(*(range(mu) if sigma[r] != r + 1 else (0,)
+                           for r in range(n))):
+            zw = tuple(g for r in range(1, n + 1)
+                       for g in [(r, r)] * f[r - 1] + [(r, sigma[r - 1])]
+                       + [(r, r)] * (mu - 1 - f[r - 1]))
+            exp = _times_words({(): {0: 1}}, [(zw, {0: 1})])
+            assert len(exp) == 1 and pseudo_word(theta) in exp
+            lam = LaurentPoly(exp[pseudo_word(theta)])
+            word = [g for r, s in enumerate(specials, 1)
+                    for g in [(r, n + 1 - r)] * f[r - 1] + [s]
+                    + [(r, n + 1 - r)] * (mu - 1 - f[r - 1])]
+            e = _class_sort_exponent(n, word) + 2 * _rho_exponent(
+                n, [g for g in specials if pol[g] >= 0])
+            prefix = tuple(sorted(specials,
+                                  key=lambda g: (pol[g] < 0, pol[g])))
+            for cw, cc in _times_words({(): {0: 1}},
+                                       [(prefix, {0: 1})]).items():
+                tau = tuple(j for (_i, j) in cw)
+                coeffs[tau] = coeffs.get(tau, _LP_ZERO) \
+                    + lam * LaurentPoly(cc).shift(e)
+        coeffs = {k: QRational(v, _LP_ONE, _reduced=True)
+                  for k, v in coeffs.items()}
+        coeffs[sigma0] = coeffs.get(sigma0, ZERO) - b.get(theta, ZERO)
+        rows.append(({k: v for k, v in coeffs.items() if not v.is_zero()},
+                     ZERO, ("source", mu, sigma)))
     return rows
 
 
@@ -199,6 +249,72 @@ def test_reduced_system_matches_full_system(n, m):
     assert got == want and list(got) == list(want)
 
 
+@pytest.mark.parametrize("n, m", [(2, m) for m in range(1, 7)]
+                         + [(3, m) for m in (1, 2, 3)] + [(4, 1), (4, 2)])
+def test_invariance_rows_equal_action_images(n, m):
+    # build_system writes each e_k image in closed form; act normal-orders
+    # it through the rewriter, so every row is checked against a second
+    # route, found by its tag theta
+    want = {}
+    for k in range(1, n):
+        col_sums = (m,) * (k - 1) + (m - 1, m + 1) + (m,) * (n - k - 1)
+        for theta in _counting_matrices((m,) * n, col_sums):
+            x = E(n, {(pseudo_word(theta), m): ONE}, canonical=True)
+            image = act(("e", k), x).terms.items()
+            assert all(det == m for (_f, det), _c in image)
+            row = _orbit_row(m, ((counting_matrix(n, f), c)
+                                 for (f, _det), c in image))
+            if row:
+                want[("invariance", ("e", k), theta)] = row
+    rows = build_system(n, m).rows
+    got = {tag: row for row, rhs, tag in rows
+           if tag[0] == "invariance" and rhs == ZERO}
+    assert len(got) == len(rows) - 1
+    assert got == want
+
+
+@pytest.mark.parametrize("n, m", [(2, m) for m in range(1, 5)]
+                         + [(3, m) for m in (1, 2, 3)] + [(4, 1), (4, 2)])
+def test_source_rows_match_per_f_loop(n, m):
+    assert _source_rows(n, m) == per_f_source_rows(n, m)
+
+
+def test_system_rank3_order4_matches_closed_form():
+    sol = solve_system(build_system(3, 4))
+    assert len(sol) == len(enumerate_Bnm(3, 4)) == 120
+    for theta, v in sol.items():
+        assert v == haar_pseudo(4, theta[0][0], theta[0][2], theta[2][0],
+                                theta[2][2])
+
+
+def test_rewriter_only_where_words_split(monkeypatch):
+    # the rows are closed forms: only D_q^m and the Source matrix's eta
+    # prefixes, words that can split, are normal-ordered
+    assert not hasattr(linsys, "act")
+    assert not hasattr(linsys, "AlgebraElement")
+    for n, m in ((3, 3), (4, 2)):
+        quantum_determinant_power(n, m)
+
+    def refuse(*args):
+        raise AssertionError("the rewriter ran on %r" % (args,))
+
+    monkeypatch.setattr(linsys, "_times_words", refuse)
+    monkeypatch.setattr(algebra, "_times_words", refuse)
+    for n, m in ((3, 3), (4, 2)):
+        assert build_system(n, m).rows
+    monkeypatch.undo()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _times_words(*args)
+
+    monkeypatch.setattr(linsys, "_times_words", counted)
+    source_matrix_solve(4, 2)
+    # one call per sigma but the identity, at each of the orders 1 and 2
+    assert len(calls) == 2 * 23
+
+
 def test_action_rows_of_one_column_pair_are_rank_deficient():
     # the rows of e_1, f_1 alone only ask for invariance under the columns
     # 1, 2, which many functionals meet: elimination reports the shortfall
@@ -219,7 +335,7 @@ def test_action_rows_of_one_column_pair_are_rank_deficient():
 
 def test_feasibility_guard():
     with pytest.raises(ValueError):
-        build_system(3, 4)
+        build_system(3, 5)
     with pytest.raises(ValueError):
         build_system(6, 1)
     with pytest.raises(ValueError):
