@@ -7,7 +7,9 @@ solves it exactly, and runs the recursive Source-matrix scheme that
 yields h(x_{sigma_0}^m) on O(U_q(n)) without touching the full system.
 The e_k images and the Source matrix's zeta words are single monomials,
 written down in closed form; `rewriter._times_words` runs only on the
-words that can split, the eta prefixes here and D_q^m in `algebra`.
+words that can split: the eta prefixes and the step of D_q^mu between
+near-diagonal terms (an identity checked, not proved; `_source_rows`)
+here, and D_q^m for the normalization row in `algebra`.
 """
 
 from itertools import combinations, permutations, product
@@ -40,21 +42,26 @@ def _check_feasible(n, m, override):
             "override_feasibility to force" % (n, m))
 
 
+def _bounded_compositions(s, caps):
+    """The compositions of s bounded by caps, in lexicographic order."""
+    if len(caps) == 1:
+        return [(s,)] if s <= caps[0] else []
+    rest = sum(caps[1:])
+    return [(x,) + r for x in range(max(0, s - rest), min(s, caps[0]) + 1)
+            for r in _bounded_compositions(s - x, caps[1:])]
+
+
 def _counting_matrices(row_sums, col_sums):
     """All counting matrices with the given row and column sums (equal
-    totals), sorted lexicographically by their flattened vector: every row
-    but the last from the compositions of its sum, and the column sums'
-    remainder as the last row when it is nonnegative."""
-    n = len(col_sums)
-    heads = product(*([r for r in product(range(s + 1), repeat=n)
-                       if sum(r) == s] for s in row_sums[:-1]))
-    out = []
-    for head in heads:
-        last = tuple(c - sum(r[j] for r in head)
-                     for j, c in enumerate(col_sums))
-        if min(last) >= 0:
-            out.append(head + (last,))
-    return sorted(out)
+    totals), sorted lexicographically by their flattened vector: each row
+    but the last from the compositions of its sum bounded by the column
+    sums left over, in order, and the remainder as the last row."""
+    heads = [((), tuple(col_sums))]
+    for s in row_sums[:-1]:
+        heads = [(head + (r,), tuple(c - x for c, x in zip(left, r)))
+                 for head, left in heads
+                 for r in _bounded_compositions(s, left)]
+    return [head + (left,) for head, left in heads]
 
 
 def enumerate_Bnm(n, m):
@@ -99,12 +106,11 @@ def _orbit_min(theta):
                tuple(r[::-1] for r in t[::-1]))
 
 
-def _orbit_row(m, coeffs):
-    """(theta, coefficient) pairs over counting matrices of order m, summed
-    onto the orbit representatives, without the sums that cancel."""
+def _orbit_row(coeffs):
+    """(theta, coefficient) pairs over counting matrices of one order,
+    summed onto the orbit representatives, without the sums that cancel."""
     parts = {}
     for theta, c in coeffs:
-        assert stochastic_order(theta) == m
         parts.setdefault(_orbit_min(theta), []).append(c)
     row = {u: fraction_sum(cs) for u, cs in parts.items()}
     return {u: c for u, c in row.items() if not c.is_zero()}
@@ -155,10 +161,10 @@ def build_system(n, m, override_feasibility=False):
                     image.append((theta[:i] + (r,) + theta[i + 1:],
                                   QRational(LaurentPoly(c), _reduced=True)))
                 p += a - b
-            row = _orbit_row(m, image)
+            row = _orbit_row(image)
             if row:
                 rows.append((row, ZERO, ("invariance", ("e", k), theta)))
-    rows.append((_orbit_row(m, detq_power_expand(n, m).items()), ONE,
+    rows.append((_orbit_row(detq_power_expand(n, m).items()), ONE,
                  ("normalization",)))
     unknowns = sorted({_orbit_min(t) for t in enumerate_Bnm(n, m)})
     return HaarLinearSystem(n, m, unknowns, rows)
@@ -281,7 +287,30 @@ def _class_sort_exponent(n, word):
     return e
 
 
-def _source_rows(n, mu):
+def _near_diagonal(mu, sigma):
+    """theta_sigma = (mu - 1) I + P_sigma, a counting matrix of order mu."""
+    return tuple(tuple((mu - 1) * (i == j) + (j == s)
+                       for j in range(1, len(sigma) + 1))
+                 for i, s in enumerate(sigma, 1))
+
+
+def _detq_near_diagonal(n, mu, b):
+    """[x_theta] D_q^mu at every theta_sigma, from b, the same of
+    D_q^(mu-1) ({zero matrix: 1} at mu = 1): one _times_words call inserts
+    the words x_{1,tau(1)} ... x_{n,tau(n)} of D_q, times (-q)^l(tau).  At
+    q = 1 only x_phi x_tau with phi near-diagonal reach a theta_sigma; for
+    generic q a few others do (10 of 6,192 at (4, 3)), and they cancel."""
+    perms = list(permutations(range(1, n + 1)))
+    out = _times_words(
+        {pseudo_word(t): c.num.terms for t, c in b.items()},
+        [(tuple(enumerate(tau, 1)), _neg_q_power(inversions(tau)).num.terms)
+         for tau in perms])
+    near = (_near_diagonal(mu, s) for s in perms)
+    return {t: QRational(LaurentPoly(out[w]), _reduced=True)
+            for t in near if (w := pseudo_word(t)) in out}
+
+
+def _source_rows(n, mu, b):
     """The Source-matrix rows of order mu, one per sigma but the identity,
     over the unknowns h(x_mu^tau), keyed by tau.  Row r of zeta_f is
     (r, r)^f_r (r, sigma(r)) (r, r)^(mu-1-f_r), of eta_f core^f_r special
@@ -293,8 +322,11 @@ def _source_rows(n, mu):
     commuting anti-diagonal letters between, so the fixed rows' specials
     can trail the cores, and modular transfer, for v^2rho, brings them and
     the positives to the front, onto a prefix that depends on sigma only.
-    The row is sum_f v^(z+s+2rho) nf(prefix), less b_theta at sigma_0."""
-    b = detq_power_expand(n, mu)
+    The row is sum_f v^(z+s+2rho) nf(prefix), less b_theta at sigma_0.
+    The rewriter runs once per sigma, on the prefix, and once per order in
+    _detq_near_diagonal, whose b_theta = [x_theta] D_q^mu is an identity
+    checked, not proved: it equals the full power at (2, <= 10), (3, <= 7),
+    (4, <= 4) and (5, <= 3), and the tests check every shape of _BOUNDS."""
     sigma0 = tuple(range(n, 0, -1))
     rows = []
     for sigma in list(permutations(range(1, n + 1)))[1:]:
@@ -318,8 +350,7 @@ def _source_rows(n, mu):
             tau = tuple(j for (_i, j) in w)
             assert sorted(tau) == list(range(1, n + 1))
             coeffs[tau] = QRational(lam * LaurentPoly(c), _reduced=True)
-        theta = tuple(tuple((mu - 1) * (i == j) + (j == s) for j in
-                            range(1, n + 1)) for i, s in enumerate(sigma, 1))
+        theta = _near_diagonal(mu, sigma)
         coeffs[sigma0] = coeffs.get(sigma0, ZERO) - b.get(theta, ZERO)
         rows.append(({k: v for k, v in coeffs.items() if not v.is_zero()},
                      ZERO, ("source", mu, sigma)))
@@ -334,8 +365,10 @@ def source_matrix_solve(n, m, override_feasibility=False):
     _check_feasible(n, m, override_feasibility)
     perms = list(permutations(range(1, n + 1)))
     value = ONE
+    b = {((0,) * n,) * n: ONE}
     for mu in range(1, m + 1):
-        rows = _source_rows(n, mu)
+        b = _detq_near_diagonal(n, mu, b)
+        rows = _source_rows(n, mu, b)
         rows.append(({u: _neg_q_power(inversions(u)) for u in perms}, value,
                      ("normalization", mu)))
         value = _eliminate(rows, perms)[perms[-1]]

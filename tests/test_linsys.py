@@ -13,8 +13,10 @@ from qhaar.algebra import (AlgebraElement, pseudo_word, counting_matrix,
 from qhaar.haar import haar_ref, haar_order1, haar_pseudo, haar_state
 from qhaar.linsys import (enumerate_Bnm, detq_power_expand, build_system,
                           solve_system, source_matrix_solve, _eliminate,
-                          _counting_matrices, _orbit_row, _source_rows,
-                          _class_sort_exponent, _polarity, VerificationError)
+                          _counting_matrices, _orbit_row, _orbit_min,
+                          _source_rows, _detq_near_diagonal, _near_diagonal,
+                          _class_sort_exponent, _polarity, _BOUNDS,
+                          VerificationError)
 from qhaar.rewriter import _times_words
 from qhaar.actions import act
 from qhaar import algebra, haar, linsys
@@ -90,6 +92,32 @@ def per_f_source_rows(n, mu):
     return rows
 
 
+def near_diagonal_chain(n, m):
+    """The near-diagonal coefficients of D_q^mu for mu = 1..m, each order
+    from the one before, as source_matrix_solve carries them."""
+    b = {((0,) * n,) * n: ONE}
+    out = []
+    for mu in range(1, m + 1):
+        b = _detq_near_diagonal(n, mu, b)
+        out.append(b)
+    return out
+
+
+def product_filter_counting_matrices(row_sums, col_sums):
+    """Every tuple of compositions of the row sums but the last, completed
+    by the column sums' remainder when it is nonnegative, then sorted."""
+    n = len(col_sums)
+    heads = product(*([r for r in product(range(s + 1), repeat=n)
+                       if sum(r) == s] for s in row_sums[:-1]))
+    out = []
+    for head in heads:
+        last = tuple(c - sum(r[j] for r in head)
+                     for j, c in enumerate(col_sums))
+        if min(last) >= 0:
+            out.append(head + (last,))
+    return sorted(out)
+
+
 def perm_matrix(sigma):
     n = len(sigma)
     return tuple(tuple(int(sigma[i] == j + 1) for j in range(n))
@@ -113,6 +141,25 @@ def test_enumeration_counts():
         assert B == sorted(B)
         assert len(set(B)) == len(B)
         assert all(stochastic_order(theta) == m for theta in B)
+
+
+def counting_sums(n, m):
+    """The square sums of order m and the (m - 1, m + 1) column sums of
+    the e_k rows."""
+    cols = [(m,) * n] + [(m,) * (k - 1) + (m - 1, m + 1) + (m,) * (n - k - 1)
+                         for k in range(1, n) if m]
+    return [((m,) * n, c) for c in cols]
+
+
+@pytest.mark.parametrize("row_sums, col_sums", [
+    sums for n in (1, 2, 3, 4) for m in range(4)
+    for sums in counting_sums(n, m)]
+    + counting_sums(5, 1) + counting_sums(5, 2)
+    + [((3, 1), (2, 2)), ((0, 2, 1), (1, 1, 1)), ((2,), (1, 1)),
+       ((1, 1, 1), (3, 0, 0)), ((4, 0), (0, 4))])
+def test_counting_matrices_match_product_filter(row_sums, col_sums):
+    assert _counting_matrices(row_sums, col_sums) == \
+        product_filter_counting_matrices(row_sums, col_sums)
 
 
 def test_detq_expansion_order1():
@@ -262,8 +309,8 @@ def test_invariance_rows_equal_action_images(n, m):
             x = E(n, {(pseudo_word(theta), m): ONE}, canonical=True)
             image = act(("e", k), x).terms.items()
             assert all(det == m for (_f, det), _c in image)
-            row = _orbit_row(m, ((counting_matrix(n, f), c)
-                                 for (f, _det), c in image))
+            row = _orbit_row((counting_matrix(n, f), c)
+                             for (f, _det), c in image)
             if row:
                 want[("invariance", ("e", k), theta)] = row
     rows = build_system(n, m).rows
@@ -273,10 +320,37 @@ def test_invariance_rows_equal_action_images(n, m):
     assert got == want
 
 
-@pytest.mark.parametrize("n, m", [(2, m) for m in range(1, 5)]
-                         + [(3, m) for m in (1, 2, 3)] + [(4, 1), (4, 2)])
+@pytest.mark.parametrize("n, m", [(2, m) for m in range(1, 7)]
+                         + [(3, m) for m in range(1, 5)]
+                         + [(4, 1), (4, 2), (4, 3), (5, 2)])
 def test_source_rows_match_per_f_loop(n, m):
-    assert _source_rows(n, m) == per_f_source_rows(n, m)
+    # the near-diagonal coefficients carried from order to order against
+    # the full expansion of D_q^m that per_f_source_rows reads
+    b = near_diagonal_chain(n, m)[-1]
+    assert _source_rows(n, m, b) == per_f_source_rows(n, m)
+
+
+@pytest.mark.parametrize("n", sorted(_BOUNDS))
+def test_near_diagonal_coefficients_match_full_power(n):
+    # the step from D_q^(mu-1) to D_q^mu reads only near-diagonal words;
+    # an identity checked here, not proved, at every order of the bound
+    for mu, b in enumerate(near_diagonal_chain(n, _BOUNDS[n]), 1):
+        full = detq_power_expand(n, mu)
+        near = [_near_diagonal(mu, s) for s in permutations(range(1, n + 1))]
+        assert b == {t: full[t] for t in near if t in full}
+
+
+@pytest.mark.parametrize("n", sorted(_BOUNDS))
+def test_system_rows_over_order_m_orbit_representatives(n):
+    # build_system constructs every counting matrix of order m; each
+    # coefficient key is the least of its orbit
+    m = _BOUNDS[n]
+    system = build_system(n, m)
+    assert system.unknowns == sorted({_orbit_min(t)
+                                      for t in enumerate_Bnm(n, m)})
+    for row, _rhs, _tag in system.rows:
+        for u in row:
+            assert stochastic_order(u) == m and _orbit_min(u) == u
 
 
 def test_system_rank3_order4_matches_closed_form():
@@ -288,8 +362,9 @@ def test_system_rank3_order4_matches_closed_form():
 
 
 def test_rewriter_only_where_words_split(monkeypatch):
-    # the rows are closed forms: only D_q^m and the Source matrix's eta
-    # prefixes, words that can split, are normal-ordered
+    # the rows are closed forms: only D_q^m, the Source matrix's eta
+    # prefixes and its near-diagonal step, words that can split, are
+    # normal-ordered
     assert not hasattr(linsys, "act")
     assert not hasattr(linsys, "AlgebraElement")
     for n, m in ((3, 3), (4, 2)):
@@ -309,10 +384,17 @@ def test_rewriter_only_where_words_split(monkeypatch):
         calls.append(args)
         return _times_words(*args)
 
+    def expanded(*args):
+        raise AssertionError("the Source scheme expanded a power of D_q")
+
     monkeypatch.setattr(linsys, "_times_words", counted)
+    monkeypatch.setattr(linsys, "detq_power_expand", expanded)
+    monkeypatch.setattr(linsys, "quantum_determinant_power", expanded)
+    monkeypatch.setattr(algebra, "quantum_determinant_power", expanded)
     source_matrix_solve(4, 2)
-    # one call per sigma but the identity, at each of the orders 1 and 2
-    assert len(calls) == 2 * 23
+    # one call per sigma but the identity, and one for the near-diagonal
+    # step, at each of the orders 1 and 2
+    assert len(calls) == 2 * (23 + 1)
 
 
 def test_action_rows_of_one_column_pair_are_rank_deficient():
