@@ -17,13 +17,17 @@ v_0, v_1, ... over d1 = max(0, l2-mu3) .. min(l2, mu1, mu2, mu1+mu2-l2),
 with d3 = max(0, l2-mu1) and c1 = max(0, mu1-l2) fixed along it: each step
 trades (d2, c2) for (d1, c3).  Inner products have closed hypergeometric
 forms; gram_entry_direct recomputes them through the rewriter and the Haar
-state as an independent check.
+state as an independent check.  There a vector is its list of column
+minors xi^I_J, one per tableau column, and x* is the reversed product of
+their complementary minors (minor_star), each at det_q^{-1}: x* sits at
+det_q^{-l1}, so x* y and x y* have order l1.
 """
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, reduce
+from operator import mul
 
-from .algebra import (AlgebraElement, apply_morphism, quantum_minor, star)
+from .algebra import AlgebraElement, minor_star, quantum_minor
 from .haar import haar_state
 from .scalars import (ONE, ZERO, QRational, _LP_ONE, _LP_ZERO, _lp_divexact,
                       fraction_sum, over_common_denominator, poch,
@@ -79,20 +83,33 @@ class BasisVector(namedtuple("BasisVector", "d1 d2 d3 c1 c2 c3")):
 _XI_COLUMN = {1: ((1, 2), (1, 2)), 2: ((1, 2), (1, 3)), 3: ((1, 2), (2, 3))}
 
 
-def vector_to_element(v, side="right"):
-    """The vector as an algebra element.  Double columns contribute two-row
-    minors, so the D_q powers cancel exactly.  side="left" applies the
-    diagonal flip."""
-    e = AlgebraElement.unit(3)
-    for which, power in ((1, v.d1), (2, v.d2), (3, v.d3)):
-        minor = quantum_minor(3, *_XI_COLUMN[which])
-        for _ in range(power):
-            e = e * minor
-    for col, power in ((1, v.c1), (2, v.c2), (3, v.c3)):
-        e = e * AlgebraElement.gen(3, 1, col) ** power
+def _column_minors(v, side):
+    """The (rows, columns) of the vector's quantum minors, one per tableau
+    column: the two-row minors of the double columns, then the 1 x 1 minors
+    of the single boxes.  side="left" transposes each, since the diagonal
+    flip maps xi^I_J to xi^J_I."""
+    cols = [_XI_COLUMN[which] for which, power in
+            ((1, v.d1), (2, v.d2), (3, v.d3)) for _ in range(power)]
+    cols += [((1,), (col,)) for col, power in
+             ((1, v.c1), (2, v.c2), (3, v.c3)) for _ in range(power)]
     if side == "left":
-        e = apply_morphism(e, "gamma")
-    return e
+        cols = [(J, I) for I, J in cols]
+    return cols
+
+
+def vector_to_element(v, side="right"):
+    """The vector as an algebra element: the product of its column minors.
+    Double columns contribute two-row minors, so the D_q powers cancel
+    exactly.  side="left" applies the diagonal flip."""
+    return reduce(mul, (quantum_minor(3, I, J) for I, J
+                        in _column_minors(v, side)), AlgebraElement.unit(3))
+
+
+def _vector_star(v, side):
+    """v*, the reversed product of minor_star over the column minors."""
+    return reduce(mul, (minor_star(3, I, J) for I, J
+                        in reversed(_column_minors(v, side))),
+                  AlgebraElement.unit(3))
 
 
 def _chain_range(l2, mu):
@@ -208,18 +225,24 @@ def gram_entry_closed(vi, vj, form="L", side="right_comodule"):
 
 
 def gram_entry_direct(vi, vj, form="L", side="right_comodule"):
-    """The same inner product through the rewriter and the Haar state."""
+    """The same inner product through the rewriter and the Haar state.
+
+    star is anti-multiplicative, so x* is the reversed product of the
+    complementary minors that minor_star gives for x's column minors, each
+    at det_q^{-1}; x* y and x y* have order l1.  The route rests on the
+    minor_star identity, which the tests check against the letter-level
+    star."""
     _check_form_side(form, side)
     for v in (vi, vj):
         if v.shape()[0] > _SIZE_CAP:
             raise ValueError("exponent sum exceeds the direct-method cap")
     _chain_offset(vi, vj)
     which = "right" if side == "right_comodule" else "left"
-    x = vector_to_element(vi, which)
-    y = vector_to_element(vj, which)
     if form == "L":
-        return haar_state(star(x) * y)
-    return haar_state(x * star(y))
+        return haar_state(_vector_star(vi, which)
+                          * vector_to_element(vj, which))
+    return haar_state(vector_to_element(vi, which)
+                      * _vector_star(vj, which))
 
 
 # ---------------------------------------------------------------------

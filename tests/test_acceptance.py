@@ -89,9 +89,11 @@ def test_criterion_06_gram_closed_equals_direct():
     for lam in shapes_within_3():
         for mu in contents(lam):
             for form in ("L", "R"):
-                closed = gram_matrix(lam, mu, form=form, method="closed")
-                direct = gram_matrix(lam, mu, form=form, method="direct")
-                assert closed.entries == direct.entries, (lam, mu, form)
+                for side in ("right_comodule", "left_comodule"):
+                    closed = gram_matrix(lam, mu, form, side, "closed")
+                    direct = gram_matrix(lam, mu, form, side, "direct")
+                    assert closed.entries == direct.entries, \
+                        (lam, mu, form, side)
 
 
 def test_criterion_07_display_regressions():

@@ -6,9 +6,12 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from qhaar.algebra import AlgebraElement, equal_mod_det, star
+import qhaar.corep
+from qhaar.algebra import (AlgebraElement, apply_morphism, equal_mod_det,
+                           star)
 from qhaar.corep import (BasisVector, _Q2, _Q4, _closed_pair,
-                         _gram_double_sum, contents, gram_entry_closed,
+                         _gram_double_sum, _vector_star, contents,
+                         gram_entry_closed,
                          gram_entry_direct, gram_matrix, gram_schmidt,
                          matrix_coeff_norm, quantum_dimension,
                          vector_to_element, weight_space)
@@ -196,17 +199,79 @@ def test_square_length_no_d2():
                     assert gram_entry_closed(v, v, "R") == want
 
 
+def _vectors(max_l1):
+    for l1 in range(max_l1 + 1):
+        for l2 in range(l1 + 1):
+            for mu in contents((l1, l2, 0)):
+                yield from weight_space((l1, l2, 0), mu)
+
+
+SIDES = (("right", "right_comodule"), ("left", "left_comodule"))
+
+
+def test_left_vector_is_flipped_right_vector():
+    # the transposed column minors give the diagonal flip exactly
+    for v in _vectors(3):
+        right, left = vector_to_element(v), vector_to_element(v, "left")
+        assert left == apply_morphism(right, "gamma"), v
+        assert right == apply_morphism(left, "gamma"), v
+
+
+def test_minor_star_matches_letter_star():
+    for v in _vectors(3):
+        for which, _side in SIDES:
+            s = _vector_star(v, which)
+            assert {det for (_f, det) in s.terms} == {v.shape()[0]}
+            assert equal_mod_det(s, star(vector_to_element(v, which))), v
+
+
+def test_direct_entries_have_order_l1(monkeypatch):
+    seen = []
+
+    def spy(x):
+        seen.extend(det for (_f, det) in x.terms)
+        return haar_state(x)
+
+    monkeypatch.setattr(qhaar.corep, "haar_state", spy)
+    lam = (3, 2, 0)
+    for mu in contents(lam):
+        vs = weight_space(lam, mu)
+        for form, side in FORM_SIDES:
+            for vi in vs:
+                for vj in vs:
+                    gram_entry_direct(vi, vj, form, side)
+    assert seen and set(seen) == {3}
+
+
+def test_direct_matches_letter_star():
+    for lam, mu in (((2, 1, 0), (1, 1, 1)), ((3, 1, 0), (2, 1, 1)),
+                    ((2, 2, 0), (1, 2, 1)), ((3, 2, 0), (2, 2, 1))):
+        vs = weight_space(lam, mu)
+        for which, side in SIDES:
+            for vi in vs:
+                for vj in vs:
+                    x = vector_to_element(vi, which)
+                    y = vector_to_element(vj, which)
+                    assert gram_entry_direct(vi, vj, "L", side) == \
+                        haar_state(star(x) * y)
+                    assert gram_entry_direct(vi, vj, "R", side) == \
+                        haar_state(x * star(y))
+
+
 def test_closed_matches_direct_small():
-    for lam in ((1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 2, 0)):
-        for mu in contents(lam):
-            vs = weight_space(lam, mu)
-            for i in range(len(vs)):
-                for j in range(len(vs)):
-                    for form in "LR":
-                        for side in ("right_comodule", "left_comodule"):
+    entries = 0
+    for l1 in range(5):
+        for l2 in range(l1 + 1):
+            for mu in contents((l1, l2, 0)):
+                vs = weight_space((l1, l2, 0), mu)
+                for i in range(len(vs)):
+                    for j in range(i, len(vs)):
+                        for form, side in FORM_SIDES:
                             assert gram_entry_closed(
                                 vs[i], vs[j], form, side) == \
                                 gram_entry_direct(vs[i], vs[j], form, side)
+                            entries += l1 == 4
+    assert entries == 504
 
 
 def test_modular_transfer():
