@@ -80,36 +80,33 @@ class BasisVector(namedtuple("BasisVector", "d1 d2 d3 c1 c2 c3")):
                 self.d2 + self.d3 + self.c3)
 
 
-_XI_COLUMN = {1: ((1, 2), (1, 2)), 2: ((1, 2), (1, 3)), 3: ((1, 2), (2, 3))}
+# the (rows, columns) of each column's quantum minor, in BasisVector order
+_COLUMNS = (((1, 2), (1, 2)), ((1, 2), (1, 3)), ((1, 2), (2, 3)),
+            ((1,), (1,)), ((1,), (2,)), ((1,), (3,)))
 
 
 def _column_minors(v, side):
-    """The (rows, columns) of the vector's quantum minors, one per tableau
-    column: the two-row minors of the double columns, then the 1 x 1 minors
-    of the single boxes.  side="left" transposes each, since the diagonal
-    flip maps xi^I_J to xi^J_I."""
-    cols = [_XI_COLUMN[which] for which, power in
-            ((1, v.d1), (2, v.d2), (3, v.d3)) for _ in range(power)]
-    cols += [((1,), (col,)) for col, power in
-             ((1, v.c1), (2, v.c2), (3, v.c3)) for _ in range(power)]
-    if side == "left":
-        cols = [(J, I) for I, J in cols]
-    return cols
+    """v's quantum minors, one per tableau column; side="left" transposes
+    each, since the diagonal flip maps xi^I_J to xi^J_I."""
+    return [(J, I) if side == "left" else (I, J)
+            for (I, J), power in zip(_COLUMNS, v) for _ in range(power)]
+
+
+def _minor_product(minor, columns):
+    return reduce(mul, (minor(3, I, J) for I, J in columns),
+                  AlgebraElement.unit(3))
 
 
 def vector_to_element(v, side="right"):
     """The vector as an algebra element: the product of its column minors.
     Double columns contribute two-row minors, so the D_q powers cancel
     exactly.  side="left" applies the diagonal flip."""
-    return reduce(mul, (quantum_minor(3, I, J) for I, J
-                        in _column_minors(v, side)), AlgebraElement.unit(3))
+    return _minor_product(quantum_minor, _column_minors(v, side))
 
 
 def _vector_star(v, side):
     """v*, the reversed product of minor_star over the column minors."""
-    return reduce(mul, (minor_star(3, I, J) for I, J
-                        in reversed(_column_minors(v, side))),
-                  AlgebraElement.unit(3))
+    return _minor_product(minor_star, _column_minors(v, side)[::-1])
 
 
 def _chain_range(l2, mu):

@@ -11,9 +11,8 @@ from qhaar.algebra import (AlgebraElement, apply_morphism, equal_mod_det,
                            star)
 from qhaar.corep import (BasisVector, _Q2, _Q4, _closed_pair,
                          _gram_double_sum, _vector_star, contents,
-                         gram_entry_closed,
-                         gram_entry_direct, gram_matrix, gram_schmidt,
-                         matrix_coeff_norm, quantum_dimension,
+                         gram_entry_closed, gram_entry_direct, gram_matrix,
+                         gram_schmidt, matrix_coeff_norm, quantum_dimension,
                          vector_to_element, weight_space)
 from qhaar.haar import haar_state
 from qhaar.scalars import (ONE, ZERO, evaluate_numeric, poch, q_binomial, qq)
@@ -219,7 +218,7 @@ def test_left_vector_is_flipped_right_vector():
 
 def test_minor_star_matches_letter_star():
     for v in _vectors(3):
-        for which, _side in SIDES:
+        for which in ("right", "left"):
             s = _vector_star(v, which)
             assert {det for (_f, det) in s.terms} == {v.shape()[0]}
             assert equal_mod_det(s, star(vector_to_element(v, which))), v
@@ -264,14 +263,13 @@ def test_closed_matches_direct_small():
         for l2 in range(l1 + 1):
             for mu in contents((l1, l2, 0)):
                 vs = weight_space((l1, l2, 0), mu)
-                for i in range(len(vs)):
-                    for j in range(i, len(vs)):
-                        for form, side in FORM_SIDES:
-                            assert gram_entry_closed(
-                                vs[i], vs[j], form, side) == \
-                                gram_entry_direct(vs[i], vs[j], form, side)
-                            entries += l1 == 4
-    assert entries == 504
+                for vi, vj in product(vs, repeat=2):
+                    for form, side in FORM_SIDES:
+                        assert gram_entry_closed(vi, vj, form, side) == \
+                            gram_entry_direct(vi, vj, form, side)
+                        entries += l1 == 4
+    # 147 ordered pairs at l1 = 4, four (form, side) each
+    assert entries == 588
 
 
 def test_modular_transfer():
