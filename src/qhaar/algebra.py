@@ -203,6 +203,8 @@ class AlgebraElement:
         return NotImplemented
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power of an algebra element")
         r = AlgebraElement.unit(self.n)
         for _ in range(k):
             r = r * self

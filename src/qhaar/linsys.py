@@ -6,13 +6,15 @@ invariance system of a given order from the left action of U_q(gl_n),
 solves it exactly, and runs the recursive Source-matrix scheme that
 yields h(x_{sigma_0}^m) on O(U_q(n)) without touching the full system.
 The e_k images and the Source matrix's zeta words are single monomials,
-written down in closed form; `rewriter._times_words` runs only on the
-words that can split: the eta prefixes and the step of D_q^mu between
-near-diagonal terms (an identity checked, not proved; `_source_rows`)
-here, and D_q^m for the normalization row in `algebra`.
+written down in closed form, and a Source row's sum over the zeta and
+eta words is a closed product (proved in `_source_rows`);
+`rewriter._times_words` runs only on the words that can split: the eta
+prefixes and the step of D_q^mu between near-diagonal terms (the
+scheme's one identity checked, not proved; `_source_rows`) here, and
+D_q^m for the normalization row in `algebra`.
 """
 
-from itertools import combinations, permutations, product
+from itertools import permutations
 
 from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, \
     over_common_denominator, qdot, fraction_sum
@@ -36,7 +38,8 @@ class VerificationError(ValueError):
 
 
 def _check_feasible(n, m, override):
-    if not override and (n not in _BOUNDS or m > _BOUNDS[n]):
+    # at rank 1 the system is the normalization row x11^m = 1 alone
+    if not override and n != 1 and (n not in _BOUNDS or m > _BOUNDS[n]):
         raise FeasibilityError(
             "rank %d order %d exceeds the feasibility guard; pass "
             "override_feasibility to force" % (n, m))
@@ -265,28 +268,6 @@ def _polarity(n, g):
     return (n + 1 - g[0] - g[1] > 0) - (n + 1 - g[0] - g[1] < 0)
 
 
-def _class_sort_exponent(n, word):
-    """The exponent e of the scalar v^e that a stable sort of the word by
-    polarity class (negative, neutral, positive from the right end to the
-    left, i.e. negatives first) picks up, using only the switch rules that
-    generate no extra terms: every pair standing in the wrong order is
-    switched once, for v^-2 or v^2 when the two share a row or column, and
-    for nothing when they are anti-diagonal."""
-    pol = [_polarity(n, g) for g in word]
-    e = 0
-    for p, r in combinations(range(len(word)), 2):
-        if pol[p] <= pol[r]:
-            continue
-        g1, g2 = word[p], word[r]
-        if g1[0] == g2[0] or g1[1] == g2[1]:
-            e += -2 if g1 > g2 else 2
-        else:
-            # must be an anti-diagonal pair; a diagonal pair would spawn
-            # an extra monomial and break the reduction
-            assert (g1[0] - g2[0]) * (g1[1] - g2[1]) < 0, (g1, g2)
-    return e
-
-
 def _near_diagonal(mu, sigma):
     """theta_sigma = (mu - 1) I + P_sigma, a counting matrix of order mu."""
     return tuple(tuple((mu - 1) * (i == j) + (j == s)
@@ -323,26 +304,38 @@ def _source_rows(n, mu, b):
     can trail the cores, and modular transfer, for v^2rho, brings them and
     the positives to the front, onto a prefix that depends on sigma only.
     The row is sum_f v^(z+s+2rho) nf(prefix), less b_theta at sigma_0.
+
+    The sum over f is a closed product: with k moved rows,
+    sum_f v^(z+s) = (sum_{t<mu} v^(4t-2(mu-1)))^k.  A core is neutral, and
+    the special of row r has polarity sign(r - sigma(r)).  The class sort
+    switches each pair in the wrong order once, for v^(+-2) when the two
+    share a row or column and for nothing when they are anti-diagonal.  A
+    wrong-order pair sharing a row or column is a special and a core of its
+    own row, in column n+1-r: the negative special of row r (sigma(r) > r)
+    passes the f_r cores before it, for v^(2 f_r), and the cores after the
+    positive special of row r (sigma(r) < r) pass it, for v^(2(mu-1-f_r));
+    a core of row r' shares the special's row only when r' = sigma(r),
+    whose block lies on the far side of the move.  Every other pair in the
+    wrong order is anti-diagonal, never diagonal, so no switch spawns a
+    second monomial.  Adding z, a moved row contributes
+    +-(4 f_r - 2(mu-1)), and over f_r < mu both signs give one set of
+    exponents.
+
     The rewriter runs once per sigma, on the prefix, and once per order in
     _detq_near_diagonal, whose b_theta = [x_theta] D_q^mu is an identity
     checked, not proved: it equals the full power at (2, <= 10), (3, <= 7),
     (4, <= 4) and (5, <= 3), and the tests check every shape of _BOUNDS."""
     sigma0 = tuple(range(n, 0, -1))
+    block = LaurentPoly({4 * t - 2 * (mu - 1): 1 for t in range(mu)})
     rows = []
     for sigma in list(permutations(range(1, n + 1)))[1:]:
         specials = [(s, n + 1 - r) for r, s in enumerate(sigma, 1)]
-        scalar = {}
-        for f in product(*(range(mu) if s != r else (0,)
-                           for r, s in enumerate(sigma, 1))):
-            eta = [g for r, s in enumerate(specials, 1)
-                   for g in [(r, n + 1 - r)] * f[r - 1] + [s]
-                   + [(r, n + 1 - r)] * (mu - 1 - f[r - 1])]
-            e = _class_sort_exponent(n, eta) - 2 * sum(
-                mu - 1 - fr if s > r else fr
-                for r, (s, fr) in enumerate(zip(sigma, f), 1))
-            scalar[e] = scalar.get(e, 0) + 1
+        scalar = _LP_ONE
+        for r, s in enumerate(sigma, 1):
+            if s != r:
+                scalar = scalar * block
         pol = {g: _polarity(n, g) for g in specials}
-        lam = LaurentPoly(scalar).shift(
+        lam = scalar.shift(
             2 * _rho_exponent(n, [g for g in specials if pol[g] >= 0]))
         prefix = tuple(sorted(specials, key=lambda g: (pol[g] < 0, pol[g])))
         coeffs = {}

@@ -366,6 +366,9 @@ class QRational:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
+        # an integer-valued scalar equals its int, so it hashes like it
+        if self.den == _LP_ONE and self.num.terms.keys() <= {0}:
+            return hash(self.num.terms.get(0, 0))
         return hash((self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------

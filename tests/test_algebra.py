@@ -594,6 +594,14 @@ def test_determinant_powers_rank4():
             == want
 
 
+def test_negative_element_power_rejected():
+    # x11 has no inverse in the algebra; the loop used to return the unit
+    x = E.gen(3, 1, 1)
+    assert x ** 0 == E.unit(3) and x ** 2 == x * x
+    with pytest.raises(ValueError):
+        x ** -1
+
+
 def test_negative_determinant_power_rejected():
     # a ValueError up front, not a RecursionError from counting down
     assert quantum_determinant_power(2, 0) == E.unit(2)

@@ -233,6 +233,15 @@ def test_eval_rank1():
     assert run(["eval", "x[1,1]^2 det^-2", "--n", "1"]) == (0, "1\n")
 
 
+def test_table_and_solve_rank1():
+    # D_q = x11 at rank 1, so every value is 1 at any order, and the guard
+    # of the larger ranks does not apply
+    assert run(["table", "--n", "1", "--m", "3"]) == \
+        (0, "monomial  value\n[[3]]     1\n")
+    assert run(["solve", "--n", "1", "--m", "2", "--format", "csv"]) == \
+        (0, "theta,value\n[[2]],1\n")
+
+
 def test_eval_rank4_order2():
     # a rank-4, order-2 word off the anti-diagonal: a value of the
     # invariance system

@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -15,7 +15,7 @@ from qhaar.linsys import (enumerate_Bnm, detq_power_expand, build_system,
                           solve_system, source_matrix_solve, _eliminate,
                           _counting_matrices, _orbit_row, _orbit_min,
                           _source_rows, _detq_near_diagonal, _near_diagonal,
-                          _class_sort_exponent, _polarity, _BOUNDS,
+                          _polarity, _BOUNDS,
                           VerificationError)
 from qhaar.rewriter import _times_words
 from qhaar.actions import act
@@ -47,6 +47,45 @@ def full_action_rows(n, m):
     return rows
 
 
+def class_sort_exponent(n, word):
+    """The exponent e of the scalar v^e that a stable sort of the word by
+    polarity class (negatives first, then neutral, then positive) picks
+    up, using only the switch rules that generate no extra terms: every
+    pair standing in the wrong order is switched once, for v^-2 or v^2 when
+    the two share a row or column, and for nothing when they are
+    anti-diagonal."""
+    pol = [_polarity(n, g) for g in word]
+    e = 0
+    for p, r in combinations(range(len(word)), 2):
+        if pol[p] <= pol[r]:
+            continue
+        g1, g2 = word[p], word[r]
+        if g1[0] == g2[0] or g1[1] == g2[1]:
+            e += -2 if g1 > g2 else 2
+        else:
+            # must be an anti-diagonal pair; a diagonal pair would spawn
+            # an extra monomial and break the reduction
+            assert (g1[0] - g2[0]) * (g1[1] - g2[1]) < 0, (g1, g2)
+    return e
+
+
+def per_f_eta_scalar(n, mu, sigma):
+    """sum_f v^(s(f) + z(f)) over every f, with s(f) from class-sorting
+    the eta word of f and z(f) the zeta word's sorting exponent."""
+    specials = [(s, n + 1 - r) for r, s in enumerate(sigma, 1)]
+    scalar = {}
+    for f in product(*(range(mu) if s != r else (0,)
+                       for r, s in enumerate(sigma, 1))):
+        eta = [g for r, s in enumerate(specials, 1)
+               for g in [(r, n + 1 - r)] * f[r - 1] + [s]
+               + [(r, n + 1 - r)] * (mu - 1 - f[r - 1])]
+        e = class_sort_exponent(n, eta) - 2 * sum(
+            mu - 1 - fr if s > r else fr
+            for r, (s, fr) in enumerate(zip(sigma, f), 1))
+        scalar[e] = scalar.get(e, 0) + 1
+    return LaurentPoly(scalar)
+
+
 def per_f_source_rows(n, mu):
     """The Source rows of order mu by one pass per sigma and f: the
     rewriter normal-orders every zeta word, which must be the single
@@ -75,7 +114,7 @@ def per_f_source_rows(n, mu):
             word = [g for r, s in enumerate(specials, 1)
                     for g in [(r, n + 1 - r)] * f[r - 1] + [s]
                     + [(r, n + 1 - r)] * (mu - 1 - f[r - 1])]
-            e = _class_sort_exponent(n, word) + 2 * _rho_exponent(
+            e = class_sort_exponent(n, word) + 2 * _rho_exponent(
                 n, [g for g in specials if pol[g] >= 0])
             prefix = tuple(sorted(specials,
                                   key=lambda g: (pol[g] < 0, pol[g])))
@@ -328,6 +367,24 @@ def test_source_rows_match_per_f_loop(n, m):
     # the full expansion of D_q^m that per_f_source_rows reads
     b = near_diagonal_chain(n, m)[-1]
     assert _source_rows(n, m, b) == per_f_source_rows(n, m)
+
+
+def test_eta_scalar_closed_form_matches_per_f_sum():
+    # the f-sum of the Source rows is (sum_{t<mu} v^(4t-2(mu-1)))^k, k the
+    # number of rows sigma moves, past the orders the row tests reach; the
+    # class sort's assert checks that no wrong-order pair is diagonal
+    shapes = [(2, 8), (3, 6), (4, 4), (5, 3), (6, 2)]
+    cases = 0
+    for n, top in shapes:
+        for mu in range(1, top + 1):
+            block = LaurentPoly({4 * t - 2 * (mu - 1): 1 for t in range(mu)})
+            for sigma in list(permutations(range(1, n + 1)))[1:]:
+                closed = _LP_ONE
+                for _ in range(sum(s != r for r, s in enumerate(sigma, 1))):
+                    closed = closed * block
+                assert per_f_eta_scalar(n, mu, sigma) == closed, (n, mu, sigma)
+                cases += 1
+    assert cases == 1925
 
 
 @pytest.mark.parametrize("n", sorted(_BOUNDS))

@@ -17,6 +17,17 @@ def test_cancellation():
     assert (qq(1) - qq(-1)) + qq(-1) == qq(1)
 
 
+def test_integer_scalars_hash_like_ints():
+    # equality accepts ints, so an integer-valued scalar shares the int's
+    # hash and one set or dict key
+    for k in (0, 1, -1, 7, 2 ** 70):
+        x = QRational.from_int(k)
+        assert x == k and hash(x) == hash(k)
+        assert len({x, k}) == 1
+    assert {ONE: "a"}[1] == "a"
+    assert qq(1) != 1 and len({qq(1), 1}) == 2
+
+
 def test_geometric_factorization():
     assert (ONE - qq(4)) / (ONE - qq(2)) == ONE + qq(2)
 
