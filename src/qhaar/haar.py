@@ -3,9 +3,9 @@
 Values of the Haar state on canonical monomials: the rank-3 closed form,
 the reference value on (ceg)^m det^-m with its recursion, the order-1
 formula for every rank, and linear evaluation of arbitrary elements.
-For ranks other than 3 and orders above 1, a value comes from the linear
-system oracles, solved once per rank and order under their feasibility
-guards.
+Other ranks and orders take m times the anti-diagonal from a closed
+product and every other word from the q-Fischer formula, under the
+feasibility guard of `linsys`, whose solvers check both.
 """
 
 from functools import cache
@@ -13,8 +13,19 @@ from functools import cache
 from .scalars import ZERO, ONE, qq, q_binomial, q_multinomial, q_factorial, \
     fraction_sum, qdot
 from .algebra import counting_matrix, stochastic_order, inversions, \
-    _neg_q_power
-from .linsys import build_system, solve_system, source_matrix_solve
+    quantum_determinant_power, _neg_q_power
+from .linsys import _check_feasible
+
+
+def _antidiagonal(n, m):
+    """h(x_{sigma_0}^m det^-m), sigma_0 the longest permutation:
+    (-q)^(m n(n-1)/2) P(n, m), P(n, m) = prod_{j<n} ((1 - q^2j) /
+    (1 - q^(2m+2j)))^(n-j)."""
+    num = den = ONE
+    for j in range(1, n):
+        num = num * (ONE - qq(2 * j)) ** (n - j)
+        den = den * (ONE - qq(2 * m + 2 * j)) ** (n - j)
+    return _neg_q_power(m * n * (n - 1) // 2) * num / den
 
 
 @cache
@@ -22,11 +33,7 @@ def haar_ref(m):
     """h((ceg)^m det^-m) in closed form, computed once per m."""
     if m < 0:
         raise ValueError("order must be >= 0")
-    if m == 0:
-        return ONE
-    num = _neg_q_power(3 * m) * (qq(2) - ONE) ** 2 * (qq(4) - ONE)
-    den = (qq(2 * m + 2) - ONE) ** 2 * (qq(2 * m + 4) - ONE)
-    return num / den
+    return _antidiagonal(3, m)
 
 
 def haar_ref_recursive(m):
@@ -80,13 +87,26 @@ def _pseudo_index_from_theta(m, theta):
 
 
 @cache
-def _source_value(n, m):
-    return source_matrix_solve(n, m)
-
-
-@cache
-def _system_values(n, m):
-    return solve_system(build_system(n, m))
+def _fischer_values(n, m):
+    """h(x_theta det^-m) = b_theta q^(n m^2 - sum theta_ij^2) prod
+    [theta_ij]! / [m]!^n P(n, m) (the q-Fischer form), b_theta = [x_theta]
+    D_q^m and [k]! = q_factorial(k), keyed by theta where b_theta != 0.  On
+    m times the anti-diagonal, b = (-q)^(m n(n-1)/2): _antidiagonal(n, m).
+    A theorem at q = 1 (Howe duality); checked against the system at every
+    shape of the guard, not proved."""
+    _check_feasible(n, m, False)
+    facts = [q_factorial(k) for k in range(m + 1)]
+    scale = qq(n * m * m) * _antidiagonal(n, m) / \
+        (_neg_q_power(m * n * (n - 1) // 2) * facts[m] ** n)
+    out = {}
+    for (factors, _det), c in quantum_determinant_power(n, m).terms.items():
+        theta = counting_matrix(n, factors)
+        c = c * qq(-sum(t * t for row in theta for t in row))
+        for row in theta:
+            for t in row:
+                c = c * facts[t]
+        out[theta] = c * scale
+    return out
 
 
 def _haar_word(n, factors, det):
@@ -94,9 +114,6 @@ def _haar_word(n, factors, det):
     if stochastic_order(theta) != det:
         return ZERO
     m = det
-    if m == 0 or n == 1:
-        # at rank 1, D_q = x11
-        return ONE
     if n == 3:
         return haar_pseudo(*_pseudo_index_from_theta(m, theta))
     if m == 1:
@@ -106,9 +123,9 @@ def _haar_word(n, factors, det):
         return haar_order1(tuple(sigma), n)
     if all(theta[i][j] == m * (i + j == n - 1)
            for i in range(n) for j in range(n)):
-        # the Source scheme reaches m times the antidiagonal far more cheaply
-        return _source_value(n, m)
-    return _system_values(n, m)[theta]
+        _check_feasible(n, m, False)
+        return _antidiagonal(n, m)
+    return _fischer_values(n, m).get(theta, ZERO)
 
 
 def haar_state(x):

@@ -1,4 +1,4 @@
-"""Linear systems for Haar state values.
+"""Linear systems for Haar state values, the references for `haar`.
 
 Enumerates counting matrices with given row and column sums, expands
 powers of the quantum determinant over the pseudo-basis, builds the
@@ -11,7 +11,7 @@ eta words is a closed product (proved in `_source_rows`);
 `rewriter._times_words` runs only on the words that can split: the eta
 prefixes and the step of D_q^mu between near-diagonal terms (the
 scheme's one identity checked, not proved; `_source_rows`) here, and
-D_q^m for the normalization row in `algebra`.
+D_q^m for the normalization row in `algebra`, whose cache `haar` shares.
 """
 
 from itertools import permutations
@@ -23,7 +23,7 @@ from .algebra import (counting_matrix, stochastic_order, pseudo_word,
                       _rho_exponent)
 from .rewriter import _times_words
 
-# the largest orders of the invariance system and the Source matrix: each
+# the largest orders of the solvers here and of haar's formula: each system
 # builds and solves in a few seconds and under 100 MB on a 2-core VM
 _BOUNDS = {2: 6, 3: 4, 4: 3, 5: 2}
 
@@ -38,8 +38,9 @@ class VerificationError(ValueError):
 
 
 def _check_feasible(n, m, override):
-    # at rank 1 the system is the normalization row x11^m = 1 alone
-    if not override and n != 1 and (n not in _BOUNDS or m > _BOUNDS[n]):
+    # at rank 1 or order 0 the system is the normalization row alone
+    if not override and n != 1 and m != 0 and (
+            n not in _BOUNDS or m > _BOUNDS[n]):
         raise FeasibilityError(
             "rank %d order %d exceeds the feasibility guard; pass "
             "override_feasibility to force" % (n, m))

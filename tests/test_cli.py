@@ -242,9 +242,17 @@ def test_table_and_solve_rank1():
         (0, "theta,value\n[[2]],1\n")
 
 
+def test_table_order0_past_the_bounds():
+    # order 0 is the normalization row alone at any rank, so the guard of
+    # the larger orders does not apply
+    code, out = run(["table", "--n", "7", "--m", "0", "--format", "csv"])
+    assert code == 0
+    assert out == "monomial,value\n%s,1\n" % json.dumps([[0] * 7] * 7)
+
+
 def test_eval_rank4_order2():
     # a rank-4, order-2 word off the anti-diagonal: a value of the
-    # invariance system
+    # q-Fischer formula
     code, out = run(["eval", "x[1,1]^2 x[2,2]^2 x[3,3]^2 x[4,4]^2 det^-2",
                      "--n", "4"])
     assert code == 0
@@ -252,7 +260,7 @@ def test_eval_rank4_order2():
 
 
 def test_eval_rank4_order3():
-    # order 3 at rank 4 lies inside the system's feasibility guard
+    # order 3 at rank 4 lies inside the feasibility guard
     text = "x[1,1]^3 x[2,2]^3 x[3,3]^3 x[4,4]^3 det^-3"
     code, out = run(["eval", text, "--n", "4"])
     assert code == 0

@@ -4,6 +4,10 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from functools import cache
+from itertools import permutations
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,8 @@ from qhaar.haar import (haar_ref, haar_ref_recursive, haar_pseudo,
                         haar_order1, haar_state, haar_ratio_general_n,
                         check_pseudo_index)
 from qhaar.linsys import (enumerate_Bnm, FeasibilityError, _counting_matrices,
-                          source_matrix_solve)
+                          build_system, solve_system, source_matrix_solve,
+                          _BOUNDS)
 from qhaar import haar
 
 E = AlgebraElement
@@ -148,10 +153,19 @@ def test_haar_state_rank1():
     # at rank 1, D_q = x11, so every x11^m det^-m has value 1
     for m in range(5):
         assert haar_state(E.word(1, [(1, 1)] * m, det=m)) == ONE
+        assert haar._fischer_values(1, m) == {((m,),): ONE}
+
+
+def test_haar_state_order0_any_rank():
+    # order 0 is the unit at every rank, inside the guard or past it, and
+    # the q-Fischer formula covers it too
+    for n in range(1, 8):
+        assert haar_state(E.word(n, [], det=0)) == ONE
+        assert haar._fischer_values(n, 0) == {((0,) * n,) * n: ONE}
 
 
 def test_haar_state_unavailable_rank():
-    # rank 5, order 3 lies beyond both oracles' feasibility guards
+    # rank 5, order 3 lies beyond the feasibility guard
     w = E.word(5, [(i, i) for i in (1, 2, 3, 4, 5)] * 3, det=3)
     with pytest.raises(FeasibilityError):
         haar_state(w)
@@ -189,8 +203,7 @@ def test_import_fills_no_cache():
         "qhaar.rewriter._insert", "qhaar.algebra.quantum_determinant_power",
         "qhaar.algebra._det_power_step", "qhaar.corep._closed_pair",
         "qhaar.haar.haar_pseudo", "qhaar.haar.haar_ref",
-        "qhaar.haar._system_values",
-        "qhaar.haar._source_value", "qhaar.scalars.q_binomial",
+        "qhaar.haar._fischer_values", "qhaar.scalars.q_binomial",
         "qhaar.scalars.poch"}
     assert set(sizes.values()) == {0}
 
@@ -420,7 +433,7 @@ def check_embedded_ratios(n, m, i):
     """The ratio for each order-m 3x3 pattern embedded at rows and columns
     i..i+2 of a rank-n word, with x_jj^m on the other diagonal entries,
     divided by the embedded m x antidiagonal, against haar_state, which
-    takes these values from the invariance system."""
+    takes these values from the q-Fischer formula."""
     def embedded(theta):
         big = [[m * (r == c) for c in range(n)] for r in range(n)]
         for a in range(3):
@@ -449,15 +462,74 @@ def test_ratio_general_n_embedded_rank5_order2():
         check_embedded_ratios(5, 2, i)
 
 
-@pytest.mark.parametrize("n, m", [(4, 3), (5, 2)])
+# every shape the feasibility guard admits from order 2 on; a raised bound
+# extends the checks below
+GUARD_SHAPES = [(n, m) for n, top in _BOUNDS.items()
+                for m in range(2, top + 1)]
+
+
+@cache
+def solved_system(n, m):
+    """solve_system(build_system(n, m)), solved once per session for the
+    two tests below."""
+    return solve_system(build_system(n, m))
+
+
+@pytest.mark.parametrize("n, m", GUARD_SHAPES)
 def test_system_antidiagonal_matches_source(n, m):
-    # haar_state takes m x the antidiagonal from the Source scheme and every
-    # other word of the order from the invariance system; both routes agree
+    # haar_state takes m x the antidiagonal from the closed product and
+    # every other word of the order from the q-Fischer formula; the
+    # invariance system, the Source scheme and, at rank 3, the closed form
+    # agree with both
+    sol = solved_system(n, m)
+    fischer = haar._fischer_values(n, m)
+    for theta, value in sol.items():
+        assert fischer.get(theta, ZERO) == value
+        if n == 3:
+            assert haar_pseudo(*haar._pseudo_index_from_theta(m, theta)) \
+                == value
+        assert haar_state(E.word(n, pseudo_word(theta), m)) == value
     anti = tuple(tuple(m * (i + j == n - 1) for j in range(n))
                  for i in range(n))
-    value = source_matrix_solve(n, m)
-    assert haar._system_values(n, m)[anti] == value
-    assert haar_state(E.word(n, pseudo_word(anti), m)) == value
+    assert haar._antidiagonal(n, m) == source_matrix_solve(n, m) == sol[anti]
+
+
+def classical_detpower(n, m):
+    """The coefficients of det(U)^m over the monomials u^theta, keyed by
+    theta: the commutative convolution b^(mu) = sum_sigma sgn(sigma)
+    b^(mu-1) shifted by P_sigma, from b^(0) = 1 at the zero matrix."""
+    perms = [(sigma, (-1) ** sum(a > b for i, a in enumerate(sigma)
+                                 for b in sigma[i + 1:]))
+             for sigma in permutations(range(n))]
+    b = {((0,) * n,) * n: 1}
+    for _ in range(m):
+        nxt = {}
+        for theta, c in b.items():
+            for sigma, sgn in perms:
+                key = tuple(tuple(x + (j == sigma[i]) for j, x in enumerate(r))
+                            for i, r in enumerate(theta))
+                nxt[key] = nxt.get(key, 0) + sgn * c
+        b = {theta: c for theta, c in nxt.items() if c}
+    return b
+
+
+@pytest.mark.parametrize("n, m", GUARD_SHAPES)
+def test_haar_values_at_q1_match_classical_integral(n, m):
+    # at q = 1 the Haar state is the Haar integral over U(n), and monomials
+    # are orthogonal under the Fischer product with norm theta!, so
+    # h(u^theta det^-m) = b_theta(1) theta! / m!^n prod_{j<n} (j/(m+j))^(n-j)
+    # (Howe duality); built without the rewriter, this checks haar_state
+    # and the system at the one point q = 1 only: a fault that vanishes
+    # there passes
+    b = classical_detpower(n, m)
+    scale = prod(Fraction(j, m + j) ** (n - j) for j in range(1, n)) / \
+        factorial(m) ** n
+    for theta, value in solved_system(n, m).items():
+        want = b.get(theta, 0) * scale * \
+            prod(factorial(t) for row in theta for t in row)
+        assert value.evaluate_numeric(1) == want
+        assert haar_state(E.word(n, pseudo_word(theta), m)) \
+            .evaluate_numeric(1) == want
 
 
 def test_ratio_general_n():

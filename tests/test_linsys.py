@@ -258,8 +258,7 @@ def test_order2_system_matches_closed_form():
 
 
 def test_rank2_systems_and_registry():
-    haar._system_values.cache_clear()
-    haar._source_value.cache_clear()
+    haar._fischer_values.cache_clear()
     for m in (2, 3, 4):
         # haar_state solves on demand, before any explicit solve
         got = {theta: haar_state(E.word(2, pseudo_word(theta), det=m))
@@ -286,7 +285,7 @@ def test_source_matrix_rank4():
     # order 2 value is new; sanity: it must be h-positive at a sample q
     v2 = source_matrix_solve(4, 2)
     assert not v2.is_zero()
-    # and feeds haar_state via the Source route
+    # and equals haar_state's closed product on the anti-diagonal
     r2 = tuple(tuple(2 * (j == 3 - i) for j in range(4)) for i in range(4))
     x = E.word(4, pseudo_word(r2), det=2)
     assert haar_state(x) == v2
