@@ -12,9 +12,9 @@ from .algebra import (AlgebraElement, TensorElement, LETTERS, comultiply,
 from .actions import act, minor_action
 from .haar import (haar_ref, haar_ref_recursive, haar_pseudo, haar_order1,
                    haar_state, haar_ratio_general_n)
-from .linsys import (enumerate_Bnm, detq_power_expand, build_system,
-                     solve_system, source_matrix_solve, HaarLinearSystem,
-                     FeasibilityError, VerificationError)
+from .linsys import (enumerate_Bnm, iter_Bnm, detq_power_expand,
+                     build_system, solve_system, source_matrix_solve,
+                     HaarLinearSystem, FeasibilityError, VerificationError)
 from .corep import (BasisVector, GramMatrix, EmptyWeightSpaceError,
                     vector_to_element, weight_space, contents,
                     gram_entry_closed, gram_entry_direct, gram_matrix,
@@ -34,9 +34,9 @@ __all__ = [
     "act", "minor_action",
     "haar_ref", "haar_ref_recursive", "haar_pseudo", "haar_order1",
     "haar_state", "haar_ratio_general_n",
-    "enumerate_Bnm", "detq_power_expand", "build_system", "solve_system",
-    "source_matrix_solve", "HaarLinearSystem", "FeasibilityError",
-    "VerificationError",
+    "enumerate_Bnm", "iter_Bnm", "detq_power_expand", "build_system",
+    "solve_system", "source_matrix_solve", "HaarLinearSystem",
+    "FeasibilityError", "VerificationError",
     "BasisVector", "GramMatrix", "EmptyWeightSpaceError",
     "vector_to_element", "weight_space", "contents",
     "gram_entry_closed", "gram_entry_direct", "gram_matrix",

@@ -20,6 +20,8 @@ a..k.  Every ParseError names the position of the offending token.
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -28,10 +30,10 @@ from .algebra import (GEN_TO_LETTER, LETTER_TO_GEN, AlgebraElement,
                       pseudo_word, quantum_determinant, star)
 from .corep import (_SIZE_CAP, EmptyWeightSpaceError, gram_matrix,
                     gram_schmidt, quantum_dimension)
-from .haar import _pseudo_index_from_theta, haar_pseudo, haar_state
+from .haar import haar_state
 from .linsys import (FeasibilityError, VerificationError, build_system,
-                     enumerate_Bnm, solve_system, source_matrix_solve)
-from .scalars import QRational, qq
+                     iter_Bnm, solve_system, source_matrix_solve)
+from .scalars import ONE, QRational, qq
 from .verify import check_S_sum, check_paper_computations, check_prop_5_3
 
 EXIT_OK = 0
@@ -249,9 +251,9 @@ def _render_rows(header, rows, fmt):
         return json.dumps({"columns": header,
                            "rows": [list(r) for r in rows]})
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(str(c) for c in r) for r in rows]
-        return "\n".join(lines)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+        return buf.getvalue()[:-1]
     if fmt == "latex":
         body = " \\\\\n".join(" & ".join(str(c) for c in r) for r in rows)
         return ("\\begin{tabular}{%s}\n%s \\\\\n%s\n\\end{tabular}"
@@ -272,22 +274,17 @@ def _cmd_eval(args):
     return _render_value(haar_state(x), args.format, args.at_q)
 
 
-def _system_rows(args):
-    sysm = solve_system(build_system(args.n, args.m,
-                                     args.override_feasibility))
-    return [(json.dumps(theta), _scalar_text(value, args.at_q))
-            for theta, value in sorted(sysm.items())]
-
-
 def _cmd_table(args):
-    if args.n != 3:
-        rows = _system_rows(args)
-    else:
-        rows = []
-        for theta in enumerate_Bnm(3, args.m):
-            word = "".join(GEN_TO_LETTER[g] for g in pseudo_word(theta))
-            value = haar_pseudo(*_pseudo_index_from_theta(args.m, theta))
-            rows.append((word, _scalar_text(value, args.at_q)))
+    # one matrix at a time, so a shape haar_state refuses fails at its
+    # first value, before the order's matrices are listed
+    rows = []
+    for theta in iter_Bnm(args.n, args.m):
+        word = pseudo_word(theta)
+        value = haar_state(AlgebraElement(args.n, {(word, args.m): ONE},
+                                          canonical=True))
+        label = ("".join(GEN_TO_LETTER[g] for g in word) if args.n == 3
+                 else json.dumps(theta))
+        rows.append((label, _scalar_text(value, args.at_q)))
     return _render_rows(["monomial", "value"], rows, args.format)
 
 
@@ -322,11 +319,13 @@ def _cmd_ortho(args):
     g = _closed_gram(args)
     transform, norms = gram_schmidt(g)
     if args.format == "json":
+        def cell(x):
+            return (x.to_pairs() if args.at_q is None
+                    else _scalar_text(x, args.at_q))
         return json.dumps({
             "lambda": list(g.lam), "mu": list(g.mu),
-            "transform": [[c.to_pairs() for c in row]
-                          for row in transform],
-            "norms_sq": [s.to_pairs() for s in norms],
+            "transform": [[cell(c) for c in row] for row in transform],
+            "norms_sq": [cell(s) for s in norms],
         })
     rows = [tuple(_scalar_text(c, args.at_q) for c in row)
             + (_scalar_text(s, args.at_q),)
@@ -342,7 +341,11 @@ def _cmd_dim(args):
 
 
 def _cmd_solve(args):
-    return _render_rows(["theta", "value"], _system_rows(args), args.format)
+    sysm = solve_system(build_system(args.n, args.m,
+                                     args.override_feasibility))
+    rows = [(json.dumps(theta), _scalar_text(value, args.at_q))
+            for theta, value in sorted(sysm.items())]
+    return _render_rows(["theta", "value"], rows, args.format)
 
 
 def _cmd_source(args):
@@ -431,8 +434,9 @@ def _build_argparser():
         p = sub.add_parser(name)
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--n", type=_positive_int, default=3)
-        p.add_argument("--override-feasibility", action="store_true",
-                       dest="override_feasibility")
+        if name != "table":
+            p.add_argument("--override-feasibility", action="store_true",
+                           dest="override_feasibility")
         output(p)
     for name in ("gram", "ortho"):
         p = sub.add_parser(name)

@@ -5,7 +5,9 @@ the reference value on (ceg)^m det^-m with its recursion, the order-1
 formula for every rank, and linear evaluation of arbitrary elements.
 Other ranks and orders take m times the anti-diagonal from a closed
 product and every other word from the q-Fischer formula, under the
-feasibility guard of `linsys`, whose solvers check both.
+feasibility guard of `linsys`, whose solvers check both.  `_haar_word`
+is the one place that picks among these routes: `qhaar eval` and
+`qhaar table` both ask `haar_state`.
 """
 
 from functools import cache

@@ -42,8 +42,7 @@ def _check_feasible(n, m, override):
     if not override and n != 1 and m != 0 and (
             n not in _BOUNDS or m > _BOUNDS[n]):
         raise FeasibilityError(
-            "rank %d order %d exceeds the feasibility guard; pass "
-            "override_feasibility to force" % (n, m))
+            "rank %d order %d exceeds the feasibility guard" % (n, m))
 
 
 def _bounded_compositions(s, caps):
@@ -56,26 +55,34 @@ def _bounded_compositions(s, caps):
 
 
 def _counting_matrices(row_sums, col_sums):
-    """All counting matrices with the given row and column sums (equal
-    totals), sorted lexicographically by their flattened vector: each row
-    but the last from the compositions of its sum bounded by the column
-    sums left over, in order, and the remainder as the last row."""
-    heads = [((), tuple(col_sums))]
-    for s in row_sums[:-1]:
-        heads = [(head + (r,), tuple(c - x for c, x in zip(left, r)))
-                 for head, left in heads
-                 for r in _bounded_compositions(s, left)]
-    return [head + (left,) for head, left in heads]
+    """The counting matrices with the given row and column sums (equal
+    totals), one at a time, in lexicographic order of their flattened
+    vector: the first row from the compositions of its sum bounded by the
+    column sums, in order, each followed by the matrices of the rows below
+    under the column sums left over; the last row is the remainder."""
+    if len(row_sums) == 1:
+        yield (tuple(col_sums),)
+        return
+    for r in _bounded_compositions(row_sums[0], col_sums):
+        left = tuple(c - x for c, x in zip(col_sums, r))
+        for rest in _counting_matrices(row_sums[1:], left):
+            yield (r,) + rest
 
 
-def enumerate_Bnm(n, m):
-    """All n x n m-doubly-stochastic matrices, sorted lexicographically by
-    their flattened vector (the order the pseudo-bases are indexed in)."""
+def iter_Bnm(n, m):
+    """The n x n m-doubly-stochastic matrices one at a time, in
+    lexicographic order of their flattened vector (the order the
+    pseudo-bases are indexed in)."""
     if n < 1:
         raise ValueError("rank must be positive")
     if m < 0:
         raise ValueError("order must be nonnegative")
     return _counting_matrices((m,) * n, (m,) * n)
+
+
+def enumerate_Bnm(n, m):
+    """All of iter_Bnm(n, m), as a list."""
+    return list(iter_Bnm(n, m))
 
 
 def detq_power_expand(n, m):

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -9,7 +10,7 @@ from qhaar.algebra import (LETTER_TO_GEN, AlgebraElement, quantum_determinant,
 from qhaar.rewriter import _insert
 from qhaar import cli
 from qhaar.cli import ParseError, parse, run_command
-from qhaar.linsys import VerificationError
+from qhaar.linsys import VerificationError, iter_Bnm
 from qhaar.haar import haar_state
 from qhaar.scalars import QRational, qq
 
@@ -221,12 +222,60 @@ def test_text_rows_have_no_trailing_spaces():
 
 
 def test_table_and_solve_share_rows():
-    code_t, table = run(["table", "--n", "2", "--m", "2", "--format", "csv"])
-    code_s, solve = run(["solve", "--n", "2", "--m", "2", "--format", "csv"])
+    # table takes its values from haar_state (the q-Fischer formula at
+    # rank 4), solve from the invariance system
+    code_t, table = run(["table", "--n", "4", "--m", "2", "--format", "csv"])
+    code_s, solve = run(["solve", "--n", "4", "--m", "2", "--format", "csv"])
     assert code_t == code_s == 0
     table, solve = table.splitlines(), solve.splitlines()
     assert table[0] == "monomial,value" and solve[0] == "theta,value"
-    assert len(table) == 4 and table[1:] == solve[1:]
+    assert len(table) == 283 and table[1:] == solve[1:]
+
+
+@pytest.mark.parametrize("command", ["table", "solve"])
+def test_csv_rows_read_back(command):
+    # the JSON counting matrix holds commas, so its field is quoted
+    code, out = run([command, "--n", "2", "--m", "2", "--format", "csv"])
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header[1] == "value" and len(rows) == 3
+    assert all(len(row) == 2 for row in rows)
+    assert [json.loads(row[0]) for row in rows] == \
+        [[[0, 2], [2, 0]], [[1, 1], [1, 1]], [[2, 0], [0, 2]]]
+
+
+@pytest.mark.parametrize("n, count", [(2, 3), (4, 282)])
+def test_table_solves_no_system(monkeypatch, n, count):
+    def refuse(*args):
+        raise AssertionError("table solved the invariance system")
+
+    monkeypatch.setattr(cli, "build_system", refuse)
+    monkeypatch.setattr(cli, "solve_system", refuse)
+    code, out = run(["table", "--n", str(n), "--m", "2", "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == count
+
+
+def test_table_order1_past_the_bounds():
+    # order 1 has its closed form at every rank, as in eval
+    code, out = run(["table", "--n", "6", "--m", "1", "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 720
+
+
+def test_table_refused_shape_fails_at_its_first_value(monkeypatch):
+    # past the guard, table stops at the first matrix rather than listing
+    # the 202,410 of order 2 at rank 6 first
+    drawn = []
+
+    def counted(n, m):
+        for theta in iter_Bnm(n, m):
+            drawn.append(theta)
+            yield theta
+
+    monkeypatch.setattr(cli, "iter_Bnm", counted)
+    assert run(["table", "--n", "6", "--m", "2"])[0] == 3
+    assert len(drawn) == 1
 
 
 def test_eval_rank1():
@@ -247,7 +296,7 @@ def test_table_order0_past_the_bounds():
     # the larger orders does not apply
     code, out = run(["table", "--n", "7", "--m", "0", "--format", "csv"])
     assert code == 0
-    assert out == "monomial,value\n%s,1\n" % json.dumps([[0] * 7] * 7)
+    assert out == 'monomial,value\n"%s",1\n' % json.dumps([[0] * 7] * 7)
 
 
 def test_eval_rank4_order2():
@@ -272,6 +321,14 @@ def test_ortho_at_q():
                      "--at-q", "1/2"])
     assert code == 0
     assert "norm^2" in out.splitlines()[0]
+
+
+def test_ortho_json_at_q():
+    # --at-q applies to the JSON output too, as in gram
+    code, out = run(["ortho", "--lambda", "2,1,0", "--mu", "1,1,1",
+                     "--format", "json", "--at-q", "1/4"])
+    assert code == 0
+    assert json.loads(out)["norms_sq"] == ["1/78897", "1/19088161"]
 
 
 def test_ortho_builds_no_direct_gram(monkeypatch):
@@ -337,8 +394,10 @@ def test_exit_codes():
     assert run(["eval", "2", "--n", "-1"])[0] == 2
     assert run(["solve", "--n", "0", "--m", "1",
                 "--override-feasibility"])[0] == 2
-    assert run(["table", "--n", "0", "--m", "1",
-                "--override-feasibility"])[0] == 2
+    assert run(["table", "--n", "0", "--m", "1"])[0] == 2
+    # table takes every value from haar_state, which has no override
+    assert run(["table", "--m", "1", "--override-feasibility"])[0] == 2
+    assert run(["table", "--n", "5", "--m", "3"])[0] == 3
     # gram reads no rank: rank 3 is fixed, so --n is not an option
     assert run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1", "--n", "4"])[0] \
         == 2

@@ -24,8 +24,8 @@ from qhaar.haar import (haar_ref, haar_ref_recursive, haar_pseudo,
                         check_pseudo_index)
 from qhaar.linsys import (enumerate_Bnm, FeasibilityError, _counting_matrices,
                           build_system, solve_system, source_matrix_solve,
-                          _BOUNDS)
-from qhaar import haar
+                          detq_power_expand, _BOUNDS)
+from qhaar import haar, linsys
 
 E = AlgebraElement
 NEG_ONE = QRational.from_int(-1)
@@ -167,8 +167,10 @@ def test_haar_state_order0_any_rank():
 def test_haar_state_unavailable_rank():
     # rank 5, order 3 lies beyond the feasibility guard
     w = E.word(5, [(i, i) for i in (1, 2, 3, 4, 5)] * 3, det=3)
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError) as info:
         haar_state(w)
+    # haar_state takes no override, so the message offers none
+    assert str(info.value) == "rank 5 order 3 exceeds the feasibility guard"
 
 
 def package_caches():
@@ -530,6 +532,45 @@ def test_haar_values_at_q1_match_classical_integral(n, m):
         assert value.evaluate_numeric(1) == want
         assert haar_state(E.word(n, pseudo_word(theta), m)) \
             .evaluate_numeric(1) == want
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n, top in _BOUNDS.items()
+                                  for m in range(1, top + 1)])
+def test_fischer_normalizer_closed_form(n, m):
+    # the normalization row sum_theta b_theta h(x_theta det^-m) = 1 under
+    # the q-Fischer form: sum_theta b_theta^2 q^(-sum theta^2) prod
+    # [theta_ij]! = q^(-n m^2) [m]!^n / P(n, m), with P(n, m) the closed
+    # product of haar._antidiagonal
+    facts = [q_factorial(k) for k in range(m + 1)]
+    total = ZERO
+    for theta, b in detq_power_expand(n, m).items():
+        term = b * b * qq(-sum(t * t for row in theta for t in row))
+        for row in theta:
+            for t in row:
+                term = term * facts[t]
+        total = total + term
+    want = qq(-n * m * m) * facts[m] ** n
+    for j in range(1, n):
+        want = want * ((ONE - qq(2 * m + 2 * j)) / (ONE - qq(2 * j))) \
+            ** (n - j)
+    assert total == want
+
+
+def test_fischer_matches_pseudo_past_the_rank3_bound(monkeypatch):
+    # haar_state takes rank 3 from haar_pseudo, never from the formula, so
+    # the bound is raised here only, to compare the two at (3, 5), (3, 6)
+    monkeypatch.setitem(linsys._BOUNDS, 3, 6)
+    checked = 0
+    try:
+        for m in (5, 6):
+            fischer = haar._fischer_values(3, m)
+            for theta in enumerate_Bnm(3, m):
+                assert fischer.get(theta, ZERO) == \
+                    haar_pseudo(*haar._pseudo_index_from_theta(m, theta))
+                checked += 1
+    finally:
+        haar._fischer_values.cache_clear()
+    assert checked == 637
 
 
 def test_ratio_general_n():

@@ -197,7 +197,7 @@ def counting_sums(n, m):
     + [((3, 1), (2, 2)), ((0, 2, 1), (1, 1, 1)), ((2,), (1, 1)),
        ((1, 1, 1), (3, 0, 0)), ((4, 0), (0, 4))])
 def test_counting_matrices_match_product_filter(row_sums, col_sums):
-    assert _counting_matrices(row_sums, col_sums) == \
+    assert list(_counting_matrices(row_sums, col_sums)) == \
         product_filter_counting_matrices(row_sums, col_sums)
 
 
