@@ -6,7 +6,8 @@ of generators x_{i,j} together with a power of det_q^{-1}; it is canonical
 when its generators are sorted in row-lexicographic order (row first, then
 column).  The quantum determinant D_q itself is never stored as a symbol:
 it is always expanded into generator words, so a canonical form is unique
-for a fixed det power.
+for a fixed det power.  Minors are written canonical, rows increasing
+along each word; only products and non-canonical input are rewritten.
 """
 
 from functools import cache
@@ -108,6 +109,10 @@ class AlgebraElement:
             if canonical:
                 merged = {w: c for w, c in terms.items() if not c.is_zero()}
             else:
+                for g in (g for factors, _det in terms for g in factors):
+                    if not (1 <= g[0] <= n and 1 <= g[1] <= n):
+                        raise ValueError("generator %r out of range for "
+                                         "rank %d" % (g, n))
                 merged = _product({((), 0): ONE}, terms)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", merged)
@@ -270,16 +275,30 @@ def counit(x):
                         if all(i == j for (i, j) in factors))
 
 
+def _index_sets(n, I, J):
+    """I and J as tuples, checked to be strictly increasing inside 1..n (each
+    its own sorted intersection with 1..n) and of equal size."""
+    I, J, span = tuple(I), tuple(J), set(range(1, n + 1))
+    if len(I) != len(J) or any(S != tuple(sorted(set(S) & span))
+                               for S in (I, J)):
+        raise ValueError("index sets %r and %r are not strictly increasing "
+                         "inside 1..%d and of equal size" % (I, J, n))
+    return I, J
+
+
+def _minor(n, I, J, det, e):
+    """(-q)^e xi^I_J det_q^{-det} for checked I and J: the word
+    x_{I_1,J_tau(1)} ... x_{I_k,J_tau(k)} times (-q)^(l(tau) + e) for each
+    permutation tau, canonical as written."""
+    return AlgebraElement(n, {
+        (tuple(zip(I, (J[t] for t in tau))), det):
+            _neg_q_power(inversions(tau) + e)
+        for tau in permutations(range(len(J)))}, canonical=True)
+
+
 def quantum_minor(n, I, J):
-    """The quantum minor with row set I and column set J (increasing tuples)."""
-    I, J = tuple(I), tuple(J)
-    if len(I) != len(J):
-        raise ValueError("row and column sets must have equal size")
-    terms = {}
-    for tau in permutations(range(len(J))):
-        word = tuple((I[s], J[tau[s]]) for s in range(len(I)))
-        terms[(word, 0)] = _neg_q_power(inversions(tau))
-    return AlgebraElement(n, terms)
+    """The quantum minor with row set I and column set J."""
+    return _minor(n, *_index_sets(n, I, J), 0, 0)
 
 
 def quantum_determinant(n):
@@ -350,17 +369,12 @@ def star(x):
     return _anti_extend(x, lambda n, i, j: minor_star(n, (i,), (j,)))
 
 
-def _lseq(I, J):
-    """Number of pairs (i, j), i in I, j in J, with i > j."""
-    return sum(1 for i in I for j in J if i > j)
-
-
 def minor_star(n, I, J):
-    """(xi^I_J)^* as a single complementary minor times det_q^{-1}."""
-    I, J = tuple(I), tuple(J)
-    Ic, Jc = _complement(n, I), _complement(n, J)
-    coeff = _neg_q_power(_lseq(J, Jc) - _lseq(I, Ic))
-    return (quantum_minor(n, Ic, Jc) * AlgebraElement.det_inv(n)).scale(coeff)
+    """(xi^I_J)^* = (-q)^(l(J, Jc) - l(I, Ic)) xi^Ic_Jc det_q^{-1}.  For S
+    increasing, l(S, Sc), the pairs s > t with s in S and t in Sc, is
+    sum_k (S_k - k), so the sign is (-q)^(sum J - sum I), in each word."""
+    I, J = _index_sets(n, I, J)
+    return _minor(n, _complement(n, I), _complement(n, J), 1, sum(J) - sum(I))
 
 
 def _rho_exponent(n, factors):

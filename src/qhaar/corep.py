@@ -29,6 +29,7 @@ from operator import mul
 
 from .algebra import AlgebraElement, minor_star, quantum_minor
 from .haar import haar_state
+from .linsys import FeasibilityError
 from .scalars import (ONE, ZERO, QRational, _LP_ONE, _LP_ZERO, _lp_divexact,
                       fraction_sum, over_common_denominator, poch,
                       q_binomial, qdot, qq)
@@ -228,12 +229,11 @@ def gram_entry_direct(vi, vj, form="L", side="right_comodule"):
     complementary minors that minor_star gives for x's column minors, each
     at det_q^{-1}; x* y and x y* have order l1.  The route rests on the
     minor_star identity, which the tests check against the letter-level
-    star."""
+    star.  Past _SIZE_CAP boxes in the first row it raises FeasibilityError."""
     _check_form_side(form, side)
-    for v in (vi, vj):
-        if v.shape()[0] > _SIZE_CAP:
-            raise ValueError("exponent sum exceeds the direct-method cap")
     _chain_offset(vi, vj)
+    if vi.shape()[0] > _SIZE_CAP:
+        raise FeasibilityError("exponent sum exceeds the direct-method cap")
     which = "right" if side == "right_comodule" else "left"
     if form == "L":
         return haar_state(_vector_star(vi, which)

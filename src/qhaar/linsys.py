@@ -19,7 +19,7 @@ from itertools import permutations
 from .scalars import LaurentPoly, QRational, ZERO, ONE, _LP_ONE, \
     over_common_denominator, qdot, fraction_sum
 from .algebra import (counting_matrix, stochastic_order, pseudo_word,
-                      quantum_determinant_power, inversions, _neg_q_power,
+                      quantum_determinant, quantum_determinant_power,
                       _rho_exponent)
 from .rewriter import _times_words
 
@@ -286,15 +286,13 @@ def _near_diagonal(mu, sigma):
 def _detq_near_diagonal(n, mu, b):
     """[x_theta] D_q^mu at every theta_sigma, from b, the same of
     D_q^(mu-1) ({zero matrix: 1} at mu = 1): one _times_words call inserts
-    the words x_{1,tau(1)} ... x_{n,tau(n)} of D_q, times (-q)^l(tau).  At
-    q = 1 only x_phi x_tau with phi near-diagonal reach a theta_sigma; for
-    generic q a few others do (10 of 6,192 at (4, 3)), and they cancel."""
-    perms = list(permutations(range(1, n + 1)))
-    out = _times_words(
-        {pseudo_word(t): c.num.terms for t, c in b.items()},
-        [(tuple(enumerate(tau, 1)), _neg_q_power(inversions(tau)).num.terms)
-         for tau in perms])
-    near = (_near_diagonal(mu, s) for s in perms)
+    the words of D_q, from quantum_determinant.  At q = 1 only x_phi x_tau
+    with phi near-diagonal reach a theta_sigma; for generic q a few others
+    do (10 of 6,192 at (4, 3)), and they cancel."""
+    dq = quantum_determinant(n).terms.items()
+    out = _times_words({pseudo_word(t): c.num.terms for t, c in b.items()},
+                       sorted((w, c.num.terms) for (w, _d), c in dq))
+    near = (_near_diagonal(mu, s) for s in permutations(range(1, n + 1)))
     return {t: QRational(LaurentPoly(out[w]), _reduced=True)
             for t in near if (w := pseudo_word(t)) in out}
 
@@ -365,12 +363,13 @@ def source_matrix_solve(n, m, override_feasibility=False):
         raise ValueError("need rank >= 2 and order >= 1")
     _check_feasible(n, m, override_feasibility)
     perms = list(permutations(range(1, n + 1)))
+    detq = {tuple(j for (_i, j) in w): c
+            for (w, _d), c in quantum_determinant(n).terms.items()}
     value = ONE
     b = {((0,) * n,) * n: ONE}
     for mu in range(1, m + 1):
         b = _detq_near_diagonal(n, mu, b)
         rows = _source_rows(n, mu, b)
-        rows.append(({u: _neg_q_power(inversions(u)) for u in perms}, value,
-                     ("normalization", mu)))
+        rows.append((detq, value, ("normalization", mu)))
         value = _eliminate(rows, perms)[perms[-1]]
     return value

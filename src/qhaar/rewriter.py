@@ -5,9 +5,10 @@ generator g, t g = low (high g), where low holds the letters of t that are
 <= g and high the rest, and only high g needs rewriting.  No switching rule
 produces a letter outside the range of the pair it rewrites, so every word
 of nf(high g) has letters >= g and low stays in front.  _insert memoizes
-nf(high g).  The engine has two entries: _times_words, the one routine that
-inserts whole words, through which every normal form goes (constructor,
-products, star and antipode, the Source matrix's eta prefixes), and
+nf(high g).  The engine has two entries: _times_words, whose one loop
+(_times_packed) inserts whole words for every product (the non-canonical
+constructor, star and antipode, the Source scheme's eta prefixes and D_q
+step; quantum minors are written canonical and never reach it), and
 _coproduct_legs, which grows both legs of a coproduct one letter at a time.
 Both take and return Laurent coefficients with integer coefficients, as
 dicts v-exponent -> integer.
@@ -175,24 +176,6 @@ def _times_packed(terms, mass, words, B):
     (word, packed c_w, total |c_w|) triples; the bound adds |c_w| times
     the bound of each nf(terms w), each tightened from 2^(B - 2) on.  See
     _times_words."""
-    if len(words) == 1:
-        # nothing to sum: scale the one product instead of accumulating it
-        (w, (a, c), cm), = words
-        if len(terms) == 1 and () in terms:
-            # from the empty word, w's longest non-decreasing prefix is
-            # already canonical
-            p = 1
-            while p < len(w) and w[p - 1] <= w[p]:
-                p += 1
-            terms, w = {w[:p]: terms[()]}, w[p:]
-        for g in w:
-            terms, top = _mul_letter(terms, g, B)
-            mass *= top
-            if mass >> (B - 2):
-                mass = _tightened(terms, mass, B)
-        if a == 0 and c == 1:
-            return terms, mass
-        return {t: (a + b, c * x) for t, (b, x) in terms.items()}, mass * cm
     acc = {}
     bound = 0
     stack = [(terms, mass)]     # stack[t] = nf(terms w[:t]) for the last w

@@ -11,7 +11,7 @@ import itertools
 import json
 import time
 
-from .algebra import LETTER_TO_GEN, AlgebraElement, minor_star
+from .algebra import LETTER_TO_GEN, AlgebraElement, minor_star, quantum_minor
 from .corep import _Q2, _Q4, _gram_double_sum
 from .haar import haar_ref, haar_state
 from .scalars import ONE, ZERO, poch, q_binomial, qq
@@ -110,8 +110,7 @@ def _h(parts):
     x = AlgebraElement.unit(3)
     for ch, p, starred in parts:
         i, j = LETTER_TO_GEN[ch]
-        g = (minor_star(3, (i,), (j,)) if starred
-             else AlgebraElement.gen(3, i, j))
+        g = (minor_star if starred else quantum_minor)(3, (i,), (j,))
         for _ in range(p):
             x = x * g
     return haar_state(x)

@@ -18,7 +18,7 @@ from qhaar.algebra import (
 )
 from qhaar.linsys import enumerate_Bnm
 from qhaar.rewriter import _insert, _times_words
-from qhaar import rewriter
+from qhaar import algebra, rewriter
 
 E = AlgebraElement
 
@@ -192,22 +192,6 @@ def test_times_words_unequal_lengths(words, start):
     want = {t: c for t, c in want.items() if not c.is_zero()}
     got = _times_words({start: {0: 1}}, pairs)
     assert _scalars(got) == want
-
-
-def test_sorted_prefix_is_not_reinserted(monkeypatch):
-    # from the empty word, a word's longest non-decreasing prefix is already
-    # canonical: only the letters after it are inserted
-    seen = []
-    mul_letter = rewriter._mul_letter
-    monkeypatch.setattr(rewriter, "_mul_letter",
-                        lambda t, g, B: seen.append(g) or mul_letter(t, g, B))
-    w = ((1, 1), (1, 3), (2, 2), (2, 1), (3, 3))
-    c = {1: 2}
-    got = _times_words({(): c}, [(w, {0: 1})])
-    assert seen == [(2, 1), (3, 3)]
-    assert _scalars(got) == \
-        {t: QRational(LaurentPoly(c)) * ct
-         for t, ct in _slow_expand(w, random.Random(0)).items()}
 
 
 def _laurent(max_coeff):
@@ -705,6 +689,69 @@ def test_minor_star_formula():
             for J in combinations(range(1, n + 1), r):
                 assert equal_mod_det(minor_star(n, I, J),
                                      star(quantum_minor(n, I, J)))
+
+
+def _index_set_pairs(n):
+    from itertools import combinations
+    for r in range(n + 1):
+        for I in combinations(range(1, n + 1), r):
+            for J in combinations(range(1, n + 1), r):
+                yield I, J
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_minors_match_normal_ordered_construction(n):
+    # the canonical words as written equal the rewriter's normal form, and
+    # the folded sign equals the product with det_inv and the scale pass
+    from itertools import permutations
+    for I, J in _index_set_pairs(n):
+        terms = {(tuple((I[s], J[tau[s]]) for s in range(len(I))), 0):
+                 _neg_q_power(inversions(tau))
+                 for tau in permutations(range(len(J)))}
+        assert quantum_minor(n, I, J) == E(n, terms)
+        Ic, Jc = _complement(n, I), _complement(n, J)
+        sign = sum(j > k for j in J for k in Jc) \
+            - sum(i > k for i in I for k in Ic)
+        assert minor_star(n, I, J) == \
+            (quantum_minor(n, Ic, Jc) * E.det_inv(n)).scale(_neg_q_power(sign))
+
+
+def test_minors_call_no_rewriter(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a minor went through the rewriter")
+
+    monkeypatch.setattr(rewriter, "_mul_letter", refuse)
+    monkeypatch.setattr(rewriter, "_times_words", refuse)
+    monkeypatch.setattr(algebra, "_times_words", refuse)
+    for I, J in _index_set_pairs(4):
+        quantum_minor(4, I, J)
+        minor_star(4, I, J)
+    assert quantum_determinant(4) == quantum_minor(4, (1, 2, 3, 4),
+                                                   (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("I, J", [
+    ((2, 1), (1, 2)), ((1, 2), (3, 2)),     # unsorted
+    ((1, 1), (1, 2)), ((1, 2), (2, 2)),     # repeated
+    ((1, 4), (1, 2)), ((1,), (4,)), ((0,), (1,)),   # out of range
+    ((1,), (1, 2)),                         # unequal sizes
+])
+def test_minor_index_sets_rejected(I, J):
+    with pytest.raises(ValueError):
+        quantum_minor(3, I, J)
+    with pytest.raises(ValueError):
+        minor_star(3, I, J)
+
+
+@pytest.mark.parametrize("letters", [
+    [(1, 1), (2, 2), (4, 3)], [(0, 1)], [(1, 0)], [(3, 4)]])
+def test_word_letter_out_of_range_rejected(letters):
+    # a ValueError that names the letter, not an IndexError from haar_state
+    # or a silent zero
+    with pytest.raises(ValueError, match=r"generator .* rank 3"):
+        E.word(3, letters, 1)
+    with pytest.raises(ValueError):
+        E(3, {(tuple(letters), 1): ONE})
 
 
 def test_concrete_star_values():

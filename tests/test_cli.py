@@ -202,6 +202,40 @@ def test_gram_agrees_and_json_schema():
     assert len(data["entries"]) == 2 and len(data["entries"][0]) == 2
 
 
+def test_gram_csv_rows_read_back(capsys):
+    # the methods-agree line goes to stderr, so a CSV reader sees the
+    # header and dim rows of dim fields only
+    code, out = run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1",
+                     "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["v0", "v1"]
+    assert len(rows) == 3 and all(len(row) == 2 for row in rows)
+    assert capsys.readouterr().err == "methods agree: True\n"
+
+
+def test_gram_disagreement_fails(monkeypatch):
+    from qhaar import corep
+
+    monkeypatch.setattr(corep, "gram_entry_direct", lambda *args: qq(1))
+    code, out = run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1",
+                     "--format", "json"])
+    assert code == 5
+    assert json.loads(out)["methods_agree"] is False
+    code, out = run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1"])
+    assert code == 5 and out.splitlines()[-1] == "methods agree: False"
+
+
+def test_gram_past_the_direct_cap():
+    # the direct route refuses with a FeasibilityError, and gram reports
+    # the closed matrix alone
+    code, out = run(["gram", "--lambda", "7,0,0", "--mu", "7,0,0",
+                     "--format", "json"])
+    assert code == 0 and json.loads(out)["methods_agree"] is None
+    code, out = run(["gram", "--lambda", "7,0,0", "--mu", "7,0,0"])
+    assert code == 0 and "methods agree" not in out
+
+
 def test_gram_latex():
     code, out = run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1",
                      "--format", "latex"])
@@ -385,8 +419,8 @@ def test_exit_codes():
     # a library ValueError that is no verification failure
     assert run(["source", "--n", "1", "--m", "1"])[0] == 6
     # negative orders and bounds
-    assert run(["solve", "--n", "2", "--m", "-1"])[0] == 6
-    assert run(["table", "--m", "-1"])[0] == 6
+    assert run(["solve", "--n", "2", "--m", "-1"])[0] == 2
+    assert run(["table", "--m", "-1"])[0] == 2
     assert run(["verify", "--suite", "s-sum", "--bound", "-3"])[0] == 2
     assert run(["verify", "--suite", "nope"])[0] == 2
     # a rank below 1
