@@ -10,7 +10,7 @@ h = eps_k - eps_{k+1}, so single factors pick up half-integer powers of q.
 from fractions import Fraction
 
 from .scalars import ZERO, ONE, qq
-from .algebra import AlgebraElement, quantum_minor
+from .algebra import AlgebraElement, _index_sets, quantum_minor
 
 
 def act(g, x, side="left"):
@@ -63,9 +63,10 @@ def act(g, x, side="left"):
 
 def minor_action(g, n, I, J):
     """The closed form of the left action of e_k or f_k on a quantum minor:
-    shift one column index or annihilate."""
+    shift one column index or annihilate.  I and J must be strictly
+    increasing inside 1..n and of equal size, as for quantum_minor."""
     kind, k = g[0], g[1]
-    I, J = tuple(sorted(I)), tuple(sorted(J))
+    I, J = _index_sets(n, I, J)
     if kind == "e":
         if k not in J and k + 1 in J:
             shifted = tuple(sorted(set(J) - {k + 1} | {k}))

@@ -94,8 +94,11 @@ def _column_minors(v, side):
 
 
 def _minor_product(minor, columns):
-    return reduce(mul, (minor(3, I, J) for I, J in columns),
-                  AlgebraElement.unit(3))
+    """The product of the minors over columns, k - 1 rewriter products for
+    k columns; the unit for none."""
+    if not columns:
+        return AlgebraElement.unit(3)
+    return reduce(mul, (minor(3, I, J) for I, J in columns))
 
 
 def vector_to_element(v, side="right"):
@@ -299,13 +302,12 @@ def gram_schmidt(g):
     Row i ends as Delta_i times row i of [U | T], with Delta_i the i-th
     leading principal minor of N (Delta_0 = 1), so its pivot is
     Delta_(i+1), T[i] is its right half over Delta_i, and the i-th norm is
-    Delta_(i+1) / (Delta_i D).  Each output entry is one reduction."""
+    Delta_(i+1) / (Delta_i D).  Each output entry is one reduction, except
+    the first norm: Delta_1 / D = N_00 / D is G_00, already reduced."""
     entries = g.entries if isinstance(g, GramMatrix) else g
     n = len(entries)
-    if n == 1:
-        if entries[0][0].is_zero():
-            raise ValueError("singular leading minor")
-        return [[ONE]], [entries[0][0]]
+    if not n:
+        return [], []
     D, nums = over_common_denominator(x for row in entries for x in row)
     rows = [nums[i * n:(i + 1) * n]
             + [_LP_ONE if j == i else _LP_ZERO for j in range(n)]
@@ -325,7 +327,8 @@ def gram_schmidt(g):
     transform = [[QRational(rows[i][n + j], minors[i]) if j < i
                   else (ONE if j == i else ZERO) for j in range(n)]
                  for i in range(n)]
-    norms = [QRational(minors[i + 1], minors[i] * D) for i in range(n)]
+    norms = [entries[0][0]] + [QRational(minors[i + 1], minors[i] * D)
+                               for i in range(1, n)]
     return transform, norms
 
 

@@ -120,6 +120,17 @@ def test_minor_action_closed_form():
                             act((kind, k), quantum_minor(n, I, J))
 
 
+def test_minor_action_index_sets_rejected():
+    # unsorted, repeated and out-of-range sets raise as quantum_minor does
+    for I, J in (((2, 1), (1, 2)), ((1, 2), (2, 1)), ((1, 1), (1, 2)),
+                 ((1, 4), (1, 2)), ((1,), (1, 2))):
+        for g in (("e", 1), ("f", 2), ("q", (1, 0, 0))):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                minor_action(g, 3, I, J)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            quantum_minor(3, I, J)
+
+
 def test_twisted_leibniz():
     # e_k (xy) = (e_k x)(q^{-h/2} y) + (q^{h/2} x)(e_k y), h = eps_k - eps_{k+1}
     rng = random.Random(11)

@@ -15,7 +15,8 @@ from qhaar.corep import (BasisVector, _Q2, _Q4, _closed_pair,
                          gram_schmidt, matrix_coeff_norm, quantum_dimension,
                          vector_to_element, weight_space)
 from qhaar.haar import haar_state
-from qhaar.scalars import (ONE, ZERO, evaluate_numeric, poch, q_binomial, qq)
+from qhaar.scalars import (ONE, ZERO, QRational, evaluate_numeric, poch,
+                           q_binomial, qq)
 
 E = AlgebraElement
 
@@ -222,6 +223,24 @@ def test_minor_star_matches_letter_star():
             s = _vector_star(v, which)
             assert {det for (_f, det) in s.terms} == {v.shape()[0]}
             assert equal_mod_det(s, star(vector_to_element(v, which))), v
+
+
+def test_vector_products_start_from_the_first_minor(monkeypatch):
+    # a vector of k column minors costs k - 1 rewriter products, and the
+    # vector with no columns is the unit
+    calls = []
+    product = qhaar.algebra._product
+    monkeypatch.setattr(qhaar.algebra, "_product",
+                        lambda a, b: calls.append(1) or product(a, b))
+    for v in _vectors(3):
+        for which in ("right", "left"):
+            k = sum(v)
+            for build in (vector_to_element, _vector_star):
+                del calls[:]
+                x = build(v, which)
+                assert len(calls) == max(k - 1, 0), (v, which, build)
+            if not k:
+                assert x == E.unit(3)
 
 
 def test_direct_entries_have_order_l1(monkeypatch):
@@ -493,6 +512,18 @@ def test_gram_schmidt_matches_textbook():
                     g = gram_matrix((l1, l2, 0), mu, form, side)
                     assert gram_schmidt(g) == _textbook_gram_schmidt(
                         g.entries), ((l1, l2), mu, form, side)
+
+
+def test_first_norm_is_the_leading_entry():
+    # Delta_1 / (Delta_0 D) = N_00 / D is G_00, which is already canonical
+    for l1 in range(4):
+        for l2 in range(l1 + 1):
+            for mu in contents((l1, l2, 0)):
+                for form, side in FORM_SIDES:
+                    g = gram_matrix((l1, l2, 0), mu, form, side)
+                    g00 = g.entries[0][0]
+                    assert gram_schmidt(g)[1][0] == g00 == \
+                        QRational(g00.num, g00.den), ((l1, l2), mu, form)
 
 
 def test_gram_schmidt_singular_leading_minor():

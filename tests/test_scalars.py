@@ -275,9 +275,44 @@ def test_over_common_denominator_cases():
 
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(unreduced, scalars))
+def test_evaluate_numeric_matches_quotient_of_evaluations(x):
+    # poles at 1/4 (v) and 1/4, 9/4, 2/3 (q), and half q-powers at 2/3
+    fixed = [ONE / (ONE - qq(Fraction(1, 2)) * 2), ONE / (ONE - qq(1) * 4),
+             ONE / (qq(1) * 4 - 9), ONE / (qq(1) * 3 - 2),
+             qq(Fraction(1, 2)), qq(Fraction(-3, 2)) / (ONE + qq(1))]
+    for y in [x] + fixed:
+        for q0, v0 in ((Fraction(1, 4), Fraction(1, 2)),
+                       (Fraction(9, 4), Fraction(3, 2))):
+            den = y.den.evaluate(v0)
+            if den:
+                assert y.evaluate_numeric(q0) == y.num.evaluate(v0) / den
+            else:
+                with pytest.raises(ZeroDivisionError, match="pole"):
+                    y.evaluate_numeric(q0)
+        # sqrt(2/3) is irrational: integer q-powers are taken at q0 itself
+        q0 = Fraction(2, 3)
+        if any(e % 2 for p in (y.num, y.den) for e in p.terms):
+            with pytest.raises(ValueError, match="half q-powers"):
+                y.evaluate_numeric(q0)
+            continue
+        num, den = (LaurentPoly({e // 2: c for e, c in p.terms.items()})
+                    .evaluate(q0) for p in (y.num, y.den))
+        if den:
+            assert y.evaluate_numeric(q0) == num / den
+        else:
+            with pytest.raises(ZeroDivisionError, match="pole"):
+                y.evaluate_numeric(q0)
+    with pytest.raises(ValueError, match="positive"):
+        x.evaluate_numeric(0)
+
+
 def test_lcm_of_one_denominator_takes_no_gcd(monkeypatch):
     # the first non-unit denominator starts the lcm as it is; only a second,
-    # different one costs a gcd
+    # different one costs a gcd; the memo is cleared so that no earlier
+    # reduction answers for the kernel
+    qscalars._reduce_dense.cache_clear()
     calls = []
     gcd = qscalars._poly_gcd_dense
     monkeypatch.setattr(qscalars, "_poly_gcd_dense",
@@ -308,6 +343,7 @@ def test_lcm_of_a_divisor_takes_no_gcd(monkeypatch):
 def test_gcd_runs_in_the_stride(monkeypatch):
     # (1 - q^8)/(1 - q^4) = (1 - v^16)/(1 - v^8) reaches the gcd as
     # 1 - w^2 and 1 - w in w = v^8, not as 17 and 9 coefficients in v
+    qscalars._reduce_dense.cache_clear()
     lengths = []
     gcd = qscalars._poly_gcd_dense
     monkeypatch.setattr(qscalars, "_poly_gcd_dense",
@@ -372,7 +408,22 @@ def test_stride_route_matches_stride_one_route(a, b, g):
             == x
 
 
-GCD_NAMES = {"_lp_gcd", "_poly_gcd_dense", "_normalize", "_lp_lcm"}
+@settings(max_examples=100, deadline=None)
+@given(strided, strided, strided, st.integers(-9, 9), st.integers(-9, 9))
+def test_memoized_reduction_matches_memo_free_route(x, y, g, i, j):
+    # v^i x g against v^j y g, from a cleared memo and again warm: a
+    # monomial shift keeps the key, so the whole family takes one gcd
+    pairs = [(x * g, y * g), ((x * g).shift(i), (y * g).shift(j)),
+             ((x * g).shift(j), (y * g).shift(i))]
+    qscalars._reduce_dense.cache_clear()
+    for _warm in range(2):
+        for a, b in pairs:
+            assert qscalars._cancel(a, b) == _ref_cancel(a, b)
+    assert qscalars._reduce_dense.cache_info().misses <= 1
+
+
+GCD_NAMES = {"_lp_gcd", "_poly_gcd_dense", "_normalize", "_lp_lcm",
+             "_reduce_dense"}
 
 
 def test_gcd_stays_in_scalars():
