@@ -2,37 +2,40 @@
 matrices.
 
 A dominant weight (l1 >= l2 >= l3) is normalized to (l1-l3, l2-l3, 0); the
-dropped det power never affects inner products.  A basis vector is a
-semistandard tableau of that shape, stored as its column counts: d1, d2,
-d3 columns (1,2), (1,3), (2,3) and c1, c2, c3 single boxes 1, 2, 3.  It is
-the product
+dropped det power never affects inner products, and the contents of lam
+are those of the normalized weight plus l3 in each entry.  A basis vector
+is a semistandard tableau of the normalized shape, stored as its column
+counts: d1, d2, d3 columns (1,2), (1,3), (2,3) and c1, c2, c3 single boxes
+1, 2, 3.  It is the product
 
     (k*)^d1 (-q h*)^d2 (q^2 g*)^d3 a^c1 b^c2 c^c3 D_q^(d1+d2+d3)
 
 with d3 c1 = 0: a (2,3) column cannot sit beside a single 1.
 
-The tableaux of content mu have first row 1^mu1 2^(mu2-d1) 3^(mu3-l2+d1)
-and second row 2^d1 3^(l2-d1), so a weight space is the closed chain
-v_0, v_1, ... over d1 = max(0, l2-mu3) .. min(l2, mu1, mu2, mu1+mu2-l2),
-with d3 = max(0, l2-mu1) and c1 = max(0, mu1-l2) fixed along it: each step
-trades (d2, c2) for (d1, c3).  Inner products have closed hypergeometric
-forms; gram_entry_direct recomputes them through the rewriter and the Haar
-state as an independent check.  There a vector is its list of column
-minors xi^I_J, one per tableau column, and x* is the reversed product of
-their complementary minors (minor_star), each at det_q^{-1}: x* sits at
-det_q^{-l1}, so x* y and x y* have order l1.
+The tableaux of normalized content mu have first row 1^mu1 2^(mu2-d1)
+3^(mu3-l2+d1) and second row 2^d1 3^(l2-d1), so a weight space is the
+closed chain v_0, v_1, ... over d1 = max(0, l2-mu3) .. min(l2, mu1, mu2,
+mu1+mu2-l2), with d3 = max(0, l2-mu1) and c1 = max(0, mu1-l2) fixed along
+it: each step trades (d2, c2) for (d1, c3).  Inner products have closed
+hypergeometric forms, one reduced fraction per pair, and gram_schmidt
+eliminates the four (form, side) matrices of a weight space, monomial
+multiples of one, once.  gram_entry_direct recomputes the entries through
+the rewriter and the Haar state as an independent check.  There a vector
+is its list of column minors xi^I_J, one per tableau column, and x* is the
+reversed product of their complementary minors (minor_star), each at
+det_q^{-1}: x* sits at det_q^{-l1}, so x* y and x y* have order l1.
 """
 
 from collections import namedtuple
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import mul
 
 from .algebra import AlgebraElement, minor_star, quantum_minor
 from .haar import haar_state
 from .linsys import FeasibilityError
-from .scalars import (ONE, ZERO, QRational, _LP_ONE, _LP_ZERO, _lp_divexact,
-                      fraction_sum, over_common_denominator, poch,
-                      q_binomial, qdot, qq)
+from .scalars import (ONE, ZERO, LaurentPoly, QRational, _LP_ONE, _LP_ZERO,
+                      _addmul, _lp_divexact, fraction_sum,
+                      over_common_denominator, poch, q_binomial, qq)
 
 _Q2 = ONE - qq(2)
 _Q4 = ONE - qq(4)
@@ -123,10 +126,10 @@ def _chain_range(l2, mu):
 def weight_space(lam, mu):
     """Chain-ordered basis vectors of the weight space, smallest d1 first
     (v_0 carries the most single-2 boxes)."""
-    (l1, l2, _), _shift = normalize_weight(lam)
+    (l1, l2, _), l3 = normalize_weight(lam)
+    m1, m2, m3 = mu = tuple(m - l3 for m in mu)
     if sum(mu) != l1 + l2:
         raise EmptyWeightSpaceError("content does not match the weight")
-    m1, m2, m3 = mu
     d3, c1 = max(0, l2 - m1), max(0, m1 - l2)
     return [BasisVector(d1, min(m1, l2) - d1, d3, c1, m2 - d1 - d3,
                         m3 - l2 + d1)
@@ -135,11 +138,11 @@ def weight_space(lam, mu):
 
 def contents(lam):
     """The distinct contents occurring in lam, sorted."""
-    (l1, l2, _), _shift = normalize_weight(lam)
+    (l1, l2, _), l3 = normalize_weight(lam)
     n = l1 + l2
     mus = ((m1, m2, n - m1 - m2)
            for m1 in range(n + 1) for m2 in range(n - m1 + 1))
-    return [mu for mu in mus if _chain_range(l2, mu)]
+    return [tuple(m + l3 for m in mu) for mu in mus if _chain_range(l2, mu)]
 
 
 # ---------------------------------------------------------------------
@@ -148,12 +151,15 @@ def contents(lam):
 _SIZE_CAP = 6
 
 
-def _rho_scale(v):
-    return qq(4 * v.d1 + 2 * v.d2 + 4 * v.c1 + 2 * v.c2)
-
-
-def _left_transfer(v):
-    return qq(-4 * v.c3 - 2 * v.c2 - 4 * v.d3 - 2 * v.d2)
+def _chain_shift(v, form, side):
+    """The v-exponent e such that each (form, side) entry of v's weight space
+    is v^e times its right-comodule form-L entry: form R divides by q^(4 d1
+    + 2 d2 + 4 c1 + 2 c2), the left side multiplies by q^-(4 c3 + 2 c2 +
+    4 d3 + 2 d2), and both powers are constant along a chain."""
+    _check_form_side(form, side)
+    left = side == "left_comodule"
+    e = -4 * (2 * v.c3 + v.c2 + 2 * v.d3 + v.d2) if left else 0
+    return e - 4 * (2 * v.d1 + v.d2 + 2 * v.c1 + v.c2) if form == "R" else e
 
 
 def _chain_offset(vi, vj):
@@ -162,9 +168,14 @@ def _chain_offset(vi, vj):
     return vj.d1 - vi.d1
 
 
+@cache
 def _gram_double_sum(d1, d2, c1, c2, c3, k):
-    """The double sum of the pair <v, v_k> at d3 = 0; _closed_pair passes
-    c1 + d3 for c1.  Terms past j = min(d1, c3) vanish.
+    """The double sum of the pair <v, v_k> at d3 = 0 as (numerator,
+    denominator), two LaurentPoly; _closed_pair passes c1 + d3 for c1.
+    Terms past j = J = min(d1, c3) vanish, and the j-th term's one
+    non-polynomial factor, 1 / (q^{2(N-j)}; q^2)_{c2+1} with N = d1 + d2 +
+    c1 + c3 + 2, is (q^{2(N-J)}; q^2)_{J-j} (q^{2(N-j+c2+1)}; q^2)_j over
+    the common denominator (q^{2(N-J)}; q^2)_{c2+1+J}: no gcd is taken.
 
     The sum is symmetric in its second and fourth arguments (d2 <-> c2,
     with k fixed), which is what lets one formula serve d3 > 0 as well as
@@ -173,29 +184,33 @@ def _gram_double_sum(d1, d2, c1, c2, c3, k):
     holds exactly on all 6,875 argument tuples with entries <= 4 and
     0 <= k <= min(d2, c2); the test suite rechecks entries <= 2, and every
     pair with l1 <= 6 against the paper's two separate sums."""
-    outer, inner = [], []
-    for j in range(min(d1, c3) + 1):
-        o = (qq(j * j - j) * q_binomial(d1, j) * q_binomial(c3, j)
-             * poch(1, j) / poch(d1 + d2 + c1 + c3 - j + 2, c2 + 1))
-        outer.append(-o if j % 2 else o)
-        inner.append(fraction_sum(
-            qq((2 * d1 + 2 * d2 + 2 * c3 - 2 * j + 2) * i)
-            * poch(1, c1 + i) * poch(1, d1 + c2 + c3 - j - i)
-            * q_binomial(c2 - k, i) for i in range(c2 - k + 1)))
-    return qdot(zip(outer, inner))
+    n, top = d1 + d2 + c1 + c3 + 2, min(d1, c3)
+    acc = {}
+    for j in range(top + 1):
+        outer = ((q_binomial(d1, j) * q_binomial(c3, j) * poch(1, j)).num
+                 * poch(n - top, top - j).num
+                 * poch(n - j + c2 + 1, j).num).shift(2 * (j * j - j))
+        inner, step = {}, 4 * (d1 + d2 + c3 - j + 1)
+        for i in range(c2 - k + 1):
+            a = (poch(1, c1 + i) * q_binomial(c2 - k, i)).num.shift(step * i)
+            _addmul(inner, a, poch(1, d1 + c2 + c3 - j - i).num)
+        _addmul(acc, -outer if j % 2 else outer, LaurentPoly(inner))
+    return LaurentPoly(acc), poch(n - top, c2 + 1 + top).num
 
 
 @cache
 def _closed_pair(v, k):
     """<v, v_k> for the right comodule and form L, with v_k the vector k
     steps further along v's chain; every other (form, side) is this entry
-    times a monomial (gram_entry_closed)."""
+    times v^_chain_shift.  poch(1, d2) / poch(1, d1+d2+d3+1) is 1 /
+    poch(d2+1, d1+d3+1), and likewise for c: one fraction, reduced once."""
     d1, d2, d3, c1, c2, c3 = v
     e2 = d1 * d2 + d1 * d3 + d2 * d3 + c1 * c2 + c1 * c3 + c2 * c3
-    pre = qq(2 * e2 + 4 * (d1 + d2 + d3 + c1 + c2 + c3) + k * (d2 + c2 - k))
-    den = poch(1, d1 + d2 + d3 + 1) * poch(1, c1 + c2 + c3 + 1)
-    base = pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2) / den
-    return base * _gram_double_sum(d1, d2, c1 + d3, c2, c3, k)
+    pre = 2 * e2 + 4 * (d1 + d2 + d3 + c1 + c2 + c3) + k * (d2 + c2 - k)
+    num, den = _gram_double_sum(d1, d2, c1 + d3, c2, c3, k)
+    return QRational((_Q2 * _Q2 * _Q4).num.shift(2 * pre) * num,
+                     poch(d2 + 1, d1 + d3 + 1).num
+                     * poch(c2 + 1, c1 + c3 + 1).num * den)
 
 
 def _check_form_side(form, side):
@@ -209,20 +224,13 @@ def gram_entry_closed(vi, vj, form="L", side="right_comodule"):
     """The inner product <v_i, v_j> from the closed hypergeometric forms.
 
     form "L" is h(x* y), form "R" is h(x y*); side picks the right- or
-    left-comodule chain (the latter differing by the diagonal flip).  The
-    four variants differ from the base case by weight-space constants: the
-    monomials _rho_scale and _left_transfer are constant along a chain, so
-    the memoized base entry serves all four."""
-    _check_form_side(form, side)
+    left-comodule chain (the latter differing by the diagonal flip).  All
+    four are the memoized base entry shifted by _chain_shift."""
+    e = _chain_shift(vi, form, side)
     k = _chain_offset(vi, vj)
     if k < 0:
         vi, vj, k = vj, vi, -k
-    entry = _closed_pair(vi, k)
-    if side == "left_comodule":
-        entry = _left_transfer(vi) * entry
-    if form == "R":
-        entry = entry / _rho_scale(vi)
-    return entry
+    return _closed_pair(vi, k).shift(e)
 
 
 def gram_entry_direct(vi, vj, form="L", side="right_comodule"):
@@ -277,18 +285,21 @@ class GramMatrix:
 
 
 def gram_matrix(lam, mu, form="L", side="right_comodule", method="closed"):
-    entry = {"closed": gram_entry_closed,
-             "direct": gram_entry_direct}.get(method)
-    if entry is None:
-        raise ValueError("unknown method %r" % (method,))
     vs = weight_space(lam, mu)
     if not vs:
         raise EmptyWeightSpaceError("empty weight space")
+    if method == "closed":
+        e = _chain_shift(vs[0], form, side)
+        entry = lambda vi, vj: _closed_pair(vi, vj.d1 - vi.d1).shift(e)
+    elif method == "direct":
+        entry = lambda vi, vj: gram_entry_direct(vi, vj, form, side)
+    else:
+        raise ValueError("unknown method %r" % (method,))
     n = len(vs)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = entry(vs[i], vs[j], form, side)
+            rows[i][j] = rows[j][i] = entry(vs[i], vs[j])
     return GramMatrix(tuple(lam), tuple(mu), form, side, vs, rows)
 
 
@@ -297,17 +308,33 @@ def gram_schmidt(g):
     T G T^t diagonal, plus the diagonal (the squared norms).  No square
     roots are taken, so the output basis is orthogonal, not orthonormal.
 
+    At dimension 1, T is [[1]] and the norm is G_00.  Otherwise T is that of
+    v^-e G and the norms are v^e times its norms, e the valuation of G_00's
+    numerator, so monomial multiples share one elimination (_bareiss)."""
+    entries = g.entries if isinstance(g, GramMatrix) else g
+    if not entries:
+        return [], []
+    if len(entries) == 1 and entries[0][0]:
+        return [[ONE]], [entries[0][0]]
+    e = entries[0][0].num.valuation()
+    transform, norms = _bareiss(tuple(tuple(x.shift(-e) for x in row)
+                                      for row in entries))
+    return [list(row) for row in transform], [x.shift(e) for x in norms]
+
+
+@lru_cache(maxsize=256)
+def _bareiss(entries):
+    """gram_schmidt's (T, norms) as tuples, for a tuple of rows G.
+
     Fraction-free (Bareiss 1968): G = N / D over one common denominator,
     then Bareiss elimination on [N | I], where every division is exact.
     Row i ends as Delta_i times row i of [U | T], with Delta_i the i-th
     leading principal minor of N (Delta_0 = 1), so its pivot is
     Delta_(i+1), T[i] is its right half over Delta_i, and the i-th norm is
     Delta_(i+1) / (Delta_i D).  Each output entry is one reduction, except
-    the first norm: Delta_1 / D = N_00 / D is G_00, already reduced."""
-    entries = g.entries if isinstance(g, GramMatrix) else g
+    the first norm: Delta_1 / D = N_00 / D is G_00, already reduced.  The
+    closed Gram matrices with l1 <= 6 take 74 distinct eliminations."""
     n = len(entries)
-    if not n:
-        return [], []
     D, nums = over_common_denominator(x for row in entries for x in row)
     rows = [nums[i * n:(i + 1) * n]
             + [_LP_ONE if j == i else _LP_ZERO for j in range(n)]
@@ -324,11 +351,11 @@ def gram_schmidt(g):
                 x = pivot * ri[j] - lead * rk[j]
                 ri[j] = x if prev == _LP_ONE else _lp_divexact(x, prev)
         minors.append(pivot)
-    transform = [[QRational(rows[i][n + j], minors[i]) if j < i
-                  else (ONE if j == i else ZERO) for j in range(n)]
-                 for i in range(n)]
-    norms = [entries[0][0]] + [QRational(minors[i + 1], minors[i] * D)
-                               for i in range(1, n)]
+    transform = tuple(tuple(QRational(rows[i][n + j], minors[i]) if j < i
+                            else (ONE if j == i else ZERO) for j in range(n))
+                      for i in range(n))
+    norms = (entries[0][0],) + tuple(QRational(minors[i + 1], minors[i] * D)
+                                     for i in range(1, n))
     return transform, norms
 
 
@@ -349,10 +376,9 @@ def quantum_dimension(lam):
 def matrix_coeff_norm(lam, weight_i, weight_j):
     """Squared lengths (L, R) of the matrix coefficient joining the two
     weights of lam."""
-    (l1, l2, _), shift = normalize_weight(lam)
-    occurring = set(contents((l1, l2, 0)))
+    occurring = set(contents(lam))
     for w in (weight_i, weight_j):
-        if tuple(x - shift for x in w) not in occurring:
+        if tuple(w) not in occurring:
             raise ValueError("weight does not occur in lambda")
     d = quantum_dimension(lam)
     return (qq(2 * _rho_pairing(weight_i)) / d,

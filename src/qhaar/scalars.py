@@ -417,6 +417,10 @@ class QRational:
     def __neg__(self):
         return QRational(-self.num, self.den, _reduced=True)
 
+    def shift(self, e):
+        """self times v^e: a monomial cancels nothing, so no gcd is taken."""
+        return QRational(self.num.shift(e), self.den, _reduced=True)
+
     def __sub__(self, other):
         if isinstance(other, int):
             other = QRational.from_int(other)

@@ -14,7 +14,7 @@ import time
 from .algebra import LETTER_TO_GEN, AlgebraElement, minor_star, quantum_minor
 from .corep import _Q2, _Q4, _gram_double_sum
 from .haar import haar_ref, haar_state
-from .scalars import ONE, ZERO, poch, q_binomial, qq
+from .scalars import ONE, ZERO, QRational, poch, q_binomial, qq
 
 
 _M2 = qq(2) - ONE   # (q^2 - 1), kept separate to mirror the sources
@@ -223,7 +223,7 @@ def _disp_family_a_full(d1, d2, c1, c2, c3, k):
                           + k * (d2 + c2 - k + 1))
             * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2)
             / (poch(1, d1 + d2 + 1) * poch(1, c1 + c2 + c3 + 1))
-            * _gram_double_sum(d1, d2, c1, c2, c3, k))
+            * QRational(*_gram_double_sum(d1, d2, c1, c2, c3, k)))
     return got == want
 
 
@@ -312,7 +312,7 @@ def _disp_family_b_full(d1, d2, d3, c2, c3, k):
                           + k * (d2 + c2 - k + 1))
             * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2)
             / (poch(1, c2 + c3 + 1) * poch(1, d1 + d2 + d3 + 1))
-            * _gram_double_sum(d1, c2, d3, d2, c3, k))
+            * QRational(*_gram_double_sum(d1, c2, d3, d2, c3, k)))
     return got == want
 
 

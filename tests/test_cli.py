@@ -202,6 +202,19 @@ def test_gram_agrees_and_json_schema():
     assert len(data["entries"]) == 2 and len(data["entries"][0]) == 2
 
 
+def test_gram_reads_the_contents_of_lambda():
+    # with lambda3 = 1 every content gains 1 in each entry, and the
+    # entries are those of the normalized weight
+    code, out = run(["gram", "--lambda", "3,2,1", "--mu", "2,2,2",
+                     "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["methods_agree"] is True and data["mu"] == [2, 2, 2]
+    _, base = run(["gram", "--lambda", "2,1,0", "--mu", "1,1,1",
+                   "--format", "json"])
+    assert data["entries"] == json.loads(base)["entries"]
+
+
 def test_gram_csv_rows_read_back(capsys):
     # the methods-agree line goes to stderr, so a CSV reader sees the
     # header and dim rows of dim fields only
@@ -413,6 +426,8 @@ def test_exit_codes():
                 "--n", "5"])[0] == 3
     assert run(["gram", "--lambda", "2,1,0", "--mu", "3,0,0"])[0] == 4
     assert run(["gram", "--lambda", "2,1,0", "--mu", "3,-1,1"])[0] == 4
+    # a content of (2, 1, 0) is no content of (3, 2, 1)
+    assert run(["gram", "--lambda", "3,2,1", "--mu", "1,1,1"])[0] == 4
     assert run(["nonsense"])[0] == 2
     assert run(["eval", "a", "--at-q", "0"])[0] == 2
     assert run(["gram", "--lambda", "1,2,0", "--mu", "1,1,1"])[0] == 2

@@ -9,14 +9,15 @@ import pytest
 import qhaar.corep
 from qhaar.algebra import (AlgebraElement, apply_morphism, equal_mod_det,
                            star)
-from qhaar.corep import (BasisVector, _Q2, _Q4, _closed_pair,
-                         _gram_double_sum, _vector_star, contents,
-                         gram_entry_closed, gram_entry_direct, gram_matrix,
-                         gram_schmidt, matrix_coeff_norm, quantum_dimension,
+from qhaar.corep import (BasisVector, EmptyWeightSpaceError, _Q2, _Q4,
+                         _bareiss, _closed_pair, _gram_double_sum,
+                         _vector_star, contents, gram_entry_closed,
+                         gram_entry_direct, gram_matrix, gram_schmidt,
+                         matrix_coeff_norm, quantum_dimension,
                          vector_to_element, weight_space)
 from qhaar.haar import haar_state
-from qhaar.scalars import (ONE, ZERO, QRational, evaluate_numeric, poch,
-                           q_binomial, qq)
+from qhaar.scalars import (ONE, ZERO, QRational, evaluate_numeric,
+                           fraction_sum, poch, q_binomial, qdot, qq)
 
 E = AlgebraElement
 
@@ -75,6 +76,8 @@ def test_ssyt_counts():
     assert dim((2, 1, 0)) == 8
     # lambda3 normalizes away
     assert dim((3, 2, 1)) == 8
+    assert contents((3, 2, 1)) == [tuple(m + 1 for m in mu)
+                                   for mu in contents((2, 1, 0))]
     assert dim((0, 0, 0)) == 1
 
 
@@ -292,14 +295,15 @@ def test_closed_matches_direct_small():
 
 
 def test_modular_transfer():
-    from qhaar.corep import _rho_scale
+    from qhaar.corep import _chain_shift
     vs = weight_space((2, 1, 0), (1, 1, 1))
     for vi in vs:
         for vj in vs:
             x = vector_to_element(vi)
             y = vector_to_element(vj)
             assert haar_state(star(x) * y) == \
-                _rho_scale(vj) * haar_state(y * star(x))
+                ONE.shift(-_chain_shift(vj, "R", "right_comodule")) \
+                * haar_state(y * star(x))
 
 
 def test_cross_weight_orthogonality():
@@ -339,12 +343,16 @@ def test_closed_pair_computed_once_per_weight_space():
     vs = weight_space((4, 2, 0), (2, 2, 2))
     n = len(vs)
     _closed_pair.cache_clear()
+    _bareiss.cache_clear()
     for form, side in FORM_SIDES:
-        gram_matrix((4, 2, 0), (2, 2, 2), form, side)
+        gram_schmidt(gram_matrix((4, 2, 0), (2, 2, 2), form, side))
     info = _closed_pair.cache_info()
     # one base entry per upper-triangle pair, three further requests each
     assert n > 1 and info.misses == n * (n + 1) // 2
     assert info.hits == 3 * info.misses
+    # the four matrices are monomial multiples of one: one elimination
+    info = _bareiss.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_unknown_form_side_method_rejected():
@@ -393,6 +401,42 @@ def test_same_tableau_is_one_vector():
         v._replace(d3=1, c1=1)
 
 
+def _reference_double_sum(d1, d2, c1, c2, c3, k):
+    """The double sum of _gram_double_sum, term by term in QRational and
+    summed with qdot and fraction_sum."""
+    outer, inner = [], []
+    for j in range(min(d1, c3) + 1):
+        o = (qq(j * j - j) * q_binomial(d1, j) * q_binomial(c3, j)
+             * poch(1, j) / poch(d1 + d2 + c1 + c3 - j + 2, c2 + 1))
+        outer.append(-o if j % 2 else o)
+        inner.append(fraction_sum(
+            qq((2 * d1 + 2 * d2 + 2 * c3 - 2 * j + 2) * i)
+            * poch(1, c1 + i) * poch(1, d1 + c2 + c3 - j - i)
+            * q_binomial(c2 - k, i) for i in range(c2 - k + 1)))
+    return qdot(zip(outer, inner))
+
+
+def test_double_sum_numerator_matches_reference():
+    # every argument tuple of a pair with l1 <= 6 (a pair passes c1 + d3),
+    # and every tuple with entries <= 2
+    pairs = set()
+    for l1 in range(7):
+        for l2 in range(l1 + 1):
+            for mu in contents((l1, l2, 0)):
+                vs = weight_space((l1, l2, 0), mu)
+                for i, (d1, d2, d3, c1, c2, c3) in enumerate(vs):
+                    for k in range(len(vs) - i):
+                        pairs.add((d1, d2, c1 + d3, c2, c3, k))
+    assert len(pairs) == 610
+    small = {t for t in product(range(3), repeat=6) if t[5] <= t[3]}
+    for t in sorted(pairs | small):
+        d1, d2, c1, c2, c3, k = t
+        num, den = _gram_double_sum(*t)
+        top = min(d1, c3)
+        assert den == poch(d1 + d2 + c1 + c3 + 2 - top, c2 + 1 + top).num
+        assert QRational(num, den) == _reference_double_sum(*t), t
+
+
 def _two_branch_pair(v, k):
     """<v, v_k> (right comodule, form L) as the paper writes it: one
     display for d3 = 0 and one for c1 = 0, with the double sum's arguments
@@ -403,13 +447,13 @@ def _two_branch_pair(v, k):
                  + 2 * c2 * c3 + 4 * c1 + 4 * c2 + 4 * c3
                  + k * (d2 + c2 - k))
         den = poch(1, d1 + d2 + 1) * poch(1, c1 + c2 + c3 + 1)
-        double = _gram_double_sum(d1, d2, c1, c2, c3, k)
+        double = _reference_double_sum(d1, d2, c1, c2, c3, k)
     else:
         pre = qq(2 * d2 * d3 + 2 * d1 * d2 + 2 * d1 * d3 + 4 * d3 + 4 * d1
                  + 4 * d2 + 2 * c2 * c3 + 4 * c2 + 4 * c3
                  + k * (d2 + c2 - k))
         den = poch(1, c2 + c3 + 1) * poch(1, d1 + d2 + d3 + 1)
-        double = _gram_double_sum(d1, c2, d3, d2, c3, k)
+        double = _reference_double_sum(d1, c2, d3, d2, c3, k)
     return pre * _Q2 * _Q2 * _Q4 * poch(1, d2) * poch(1, c2) / den * double
 
 
@@ -433,8 +477,8 @@ def test_gram_double_sum_symmetric():
     # closed form, for entries <= 2 and every chain offset k
     for d1, x, y, z, c3 in product(range(3), repeat=5):
         for k in range(min(x, z) + 1):
-            assert _gram_double_sum(d1, x, y, z, c3, k) == \
-                _gram_double_sum(d1, z, y, x, c3, k)
+            assert _reference_double_sum(d1, x, y, z, c3, k) == \
+                _reference_double_sum(d1, z, y, x, c3, k)
 
 
 # ---------------------------------------------------------------------
@@ -449,6 +493,23 @@ def test_gram_matrix_agreement():
     assert g1.entries[0][1] == g1.entries[1][0]
     with pytest.raises(ValueError):
         gram_matrix((2, 1, 0), (3, 0, 0))
+
+
+def test_gram_matrix_takes_the_contents_of_lambda():
+    # lambda3 = 1 adds 1 to each entry of every content; the inner
+    # products are those of the normalized weight
+    for mu in contents((2, 1, 0)):
+        shifted = tuple(m + 1 for m in mu)
+        for method in ("closed", "direct"):
+            for form, side in FORM_SIDES:
+                g = gram_matrix((3, 2, 1), shifted, form, side, method)
+                assert g.mu == shifted
+                assert g.entries == gram_matrix((2, 1, 0), mu, form, side,
+                                                method).entries
+    with pytest.raises(EmptyWeightSpaceError):
+        gram_matrix((3, 2, 1), (1, 1, 1))
+    with pytest.raises(EmptyWeightSpaceError):
+        weight_space((3, 2, 1), (1, 1, 1))
 
 
 def test_gram_matrix_export():
@@ -527,14 +588,49 @@ def test_first_norm_is_the_leading_entry():
 
 
 def test_gram_schmidt_singular_leading_minor():
+    _bareiss.cache_clear()
     for entries in ([[ONE, ONE], [ONE, ONE]],
                     [[ZERO, ONE], [ONE, ONE]],
                     [[ZERO]],
                     [[qq(1), ONE, ZERO], [ONE, qq(-1), ZERO],
-                     [ZERO, ZERO, ONE]]):
-        with pytest.raises(ValueError, match="singular leading minor"):
-            gram_schmidt(entries)
+                     [ZERO, ZERO, ONE]],
+                    [[qq(3), qq(2)], [qq(2), qq(1)]]):
+        # a failed elimination leaves nothing in the memo to return later
+        for _ in range(2):
+            with pytest.raises(ValueError, match="singular leading minor"):
+                gram_schmidt(entries)
+    assert _bareiss.cache_info().currsize == 0
     assert gram_schmidt([]) == ([], [])
+
+
+def test_gram_schmidt_of_monomial_multiples():
+    # c G for c = +-v^e, e odd and even: T is G's, the norms are c times
+    # G's, from an empty memo and from a warm one
+    for lam, mu in (((3, 1, 0), (2, 1, 1)), ((4, 2, 0), (2, 2, 2))):
+        g = gram_matrix(lam, mu).entries
+        want_t, want_norms = _textbook_gram_schmidt(g)
+        for warm in (False, True):
+            if not warm:
+                _bareiss.cache_clear()
+            for e in (-3, 0, 1, 4):
+                for sign in (1, -1):
+                    c = sign * qq(Fraction(e, 2))
+                    cg = [[c * x for x in row] for row in g]
+                    got = gram_schmidt(cg)
+                    assert got == (want_t, [c * x for x in want_norms])
+                    assert got == _textbook_gram_schmidt(cg), (lam, e, sign)
+    assert gram_schmidt([[-qq(Fraction(1, 2))]]) == \
+        ([[ONE]], [-qq(Fraction(1, 2))])
+
+
+def test_gram_schmidt_returns_fresh_lists():
+    g = gram_matrix((4, 2, 0), (2, 2, 2), "R", "left_comodule")
+    want = gram_schmidt(g)
+    t, norms = gram_schmidt(g)
+    t[1][0] = t[0][0] = ZERO
+    t.append([ONE])
+    norms[0] = norms[-1] = ZERO
+    assert gram_schmidt(g) == want
 
 
 def test_positive_definite_at_sample_q():
@@ -573,3 +669,9 @@ def test_matrix_coeff_norm():
     assert matrix_coeff_norm((0, 0, 0), (0, 0, 0), (0, 0, 0)) == (ONE, ONE)
     with pytest.raises(ValueError):
         matrix_coeff_norm((1, 0, 0), (2, 0, 0), (1, 0, 0))
+    # the weights of (3, 2, 1) are those of (2, 1, 0) plus 1 in each entry
+    d = quantum_dimension((3, 2, 1))
+    assert matrix_coeff_norm((3, 2, 1), (2, 2, 2), (3, 2, 1)) == \
+        (ONE / d, qq(-4) / d)
+    with pytest.raises(ValueError):
+        matrix_coeff_norm((3, 2, 1), (1, 1, 1), (2, 2, 2))
